@@ -614,6 +614,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
             "residual": result.residual,
             "iterations": result.iterations,
             "converged": result.converged,
+            "termination": result.termination,
             "record_kind": record.kind,
             "n_settings": len(pset),
             "rho": state_to_dict(result.rho_hat),

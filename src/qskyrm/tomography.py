@@ -17,11 +17,26 @@ Probabilities over such a group sum to one, and simulated counts are
 converted back to probabilities by normalizing within each setting's group,
 the way coincidence rates are normalized in practice.
 
+Born probabilities are linear in rho.  :attr:`ProjectorSet.measurement_matrix`
+caches the real ``(n_settings, 2 d^2)`` matrix ``A`` whose row k is
+``[Re, -Im]`` of ``conj(b_k) x b_k``, so that ``p = A [Re rho, Im rho]`` with
+rho flattened row-major.  The forward model and every objective evaluation
+share it.
+
 Reconstruction minimizes the squared residual between measured and modeled
 probabilities over ``rho = L L^dag / Tr(L L^dag)`` with L complex lower
 triangular and an exponential parametrization of its diagonal, which keeps
 every iterate Hermitian, positive semidefinite, and unit trace.  The
-optimizer is quasi-Newton descent with the analytic gradient.
+optimizer is L-BFGS-B with the analytic gradient.
+
+Stopping rule.  With Poisson counts the residual at the true state is about
+``sigma^2 = sum_k p_hat_k / N`` (N counts per setting), so refining the fit
+below a small fraction of that floor only fits noise.  For count records the
+optimizer stops once one iteration lowers the objective by less than
+``_SHOT_NOISE_FTOL * sigma^2`` (L-BFGS-B's ``ftol`` test, absolute here since
+the objective is below one).  Noiseless probability records have no floor and
+keep ``ftol = 1e-15``.  ``max_iterations`` is only a safety cap, and
+:attr:`ReconstructionResult.termination` says which test ended the fit.
 """
 
 from __future__ import annotations
@@ -53,6 +68,13 @@ POL_LABELS = ("H", "V", "D", "A", "R", "L")
 _POL_PAIRS = ((0, 1), (2, 3), (4, 5))  # {H,V}, {D,A}, {R,L}
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 _PHASE_LABELS = ("0", "90", "180", "270")
+
+# stop a count-level fit once an iteration gains less than this fraction of
+# the expected shot-noise residual sigma^2 = sum_k p_hat_k / N
+_SHOT_NOISE_FTOL = 2e-7
+# noiseless records bottom out near 1e-12, so their test sits near machine
+# precision; L-BFGS-B's default relative-decrease test would quit too early
+_NOISELESS_FTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -89,19 +111,21 @@ class ProjectorSet:
     @cached_property
     def product_kets(self) -> np.ndarray:
         """All setting kets stacked, shape (n_settings, 4 * d_sp)."""
-        pol = [polarization_ket(lbl) for lbl in POL_LABELS]
-        rows = []
-        for ia in range(6):
-            for ib in range(6):
-                ab = np.kron(pol[ia], pol[ib])
-                for s in self.spatial_kets:
-                    rows.append(np.kron(ab, s))
-        out = np.array(rows)
+        pol = np.array([polarization_ket(lbl) for lbl in POL_LABELS])
+        ab = np.einsum("ai,bj->abij", pol, pol).reshape(36, 4)
+        out = np.einsum("ai,sj->asij", ab, self.spatial_kets).reshape(len(self), self.dim)
         out.setflags(write=False)
         return out
 
-    def ket(self, k: int) -> np.ndarray:
-        return self.product_kets[k].copy()
+    @cached_property
+    def measurement_matrix(self) -> np.ndarray:
+        """Real (n_settings, 2 * dim**2) matrix A with p = A @ [Re rho, Im rho].
+
+        rho is flattened row-major; cached for the life of the set.
+        """
+        out = _measurement_matrix(self.product_kets)
+        out.setflags(write=False)
+        return out
 
     def projector(self, k: int) -> np.ndarray:
         m = self.product_kets[k]
@@ -145,6 +169,11 @@ class ReconstructionResult:
 
     ``residual`` is the 2-norm of the final probability misfit;
     ``fidelity_vs_target`` is None when no target was supplied.
+    ``termination`` names the test that ended the fit: ``"ftol"`` (objective
+    decrease below the stopping tolerance), ``"gtol"`` (projected gradient
+    below ``gradient_tol``), ``"iteration_cap"`` (``max_iterations`` or its
+    evaluation budget ran out) or ``"abnormal"`` (the line search failed).
+    ``converged`` is true exactly for ``"ftol"`` and ``"gtol"``.
     """
 
     rho_hat: State
@@ -152,6 +181,7 @@ class ReconstructionResult:
     purity: float
     iterations: int
     converged: bool
+    termination: str
     fidelity_vs_target: float | None = None
 
 
@@ -234,8 +264,7 @@ def forward_model(state: State, pset: ProjectorSet) -> MeasurementRecord:
         raise BasisMismatchError(
             f"state dimension {rho.shape[0]} does not match setting dimension {pset.dim}"
         )
-    b = pset.product_kets
-    p = np.einsum("ki,ij,kj->k", b.conj(), rho, b).real
+    p = np.einsum("kj,j->k", pset.measurement_matrix, _stack_real(rho))
     return MeasurementRecord(np.clip(p, 0.0, 1.0), "probabilities")
 
 
@@ -276,24 +305,42 @@ def _build_l(x: np.ndarray, d: int, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return L
 
 
+def _measurement_matrix(kets: np.ndarray) -> np.ndarray:
+    """Rows ``[Re, -Im]`` of ``conj(b_k) x b_k`` for kets b_k, shape (n, 2 d^2)."""
+    m = np.einsum("ki,kj->kij", kets.conj(), kets).reshape(len(kets), -1)
+    return np.concatenate([m.real, -m.imag], axis=1)
+
+
+def _stack_real(rho: np.ndarray) -> np.ndarray:
+    """[Re rho, Im rho], flattened row-major: the column space of A."""
+    return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
+
+
 def _misfit_objective(
     x: np.ndarray,
     p_hat: np.ndarray,
-    b: np.ndarray,
+    A: np.ndarray,
     d: int,
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Squared probability misfit of rho(x) = L L^dag / tr, with its gradient."""
+    """Squared probability misfit of rho(x) = L L^dag / tr, with its gradient.
+
+    ``A`` is a :attr:`ProjectorSet.measurement_matrix`.
+    """
     n_off = rows.size
     L = _build_l(x, d, rows, cols)
     a = L @ L.conj().T
     t = float(np.trace(a).real)
     rho = a / t
-    p = np.einsum("ki,ij,kj->k", b.conj(), rho, b).real
+    # two-operand einsum, not matmul: a multithreaded BLAS spinning on these
+    # small products slows every optimizer step more than the product costs
+    p = np.einsum("kj,j->k", A, _stack_real(rho))
     err = p - p_hat
     f = float(err @ err)
-    w = np.einsum("k,ki,kj->ij", err, b, b.conj())
+    # W = sum_k err_k b_k b_k^dag, the conjugate of err . A's complex rows
+    g_w = np.einsum("k,kj->j", err, A)
+    w = (g_w[: d * d] + 1j * g_w[d * d :]).reshape(d, d)
     v = (2.0 / t) * (w - np.trace(w @ rho).real * np.eye(d))
     g = v @ L
     grad = np.empty_like(x)
@@ -315,20 +362,21 @@ def reconstruct(
 
     Deterministic for a given ``init_seed``, which only sets the small random
     perturbation of the initial (maximally mixed) iterate that breaks its
-    gradient symmetry.
+    gradient symmetry.  Count records stop at the shot-noise rule of the
+    module docstring; ``max_iterations`` is a safety cap.
     """
     if len(record) != len(pset):
         raise BasisMismatchError(
             f"record has {len(record)} entries for {len(pset)} settings"
         )
     p_hat = _estimate_probabilities(record, pset)
-    b = pset.product_kets
+    A = pset.measurement_matrix
     d = pset.dim
     rows, cols = _tril_indexing(d)
     n_off = rows.size
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return _misfit_objective(x, p_hat, b, d, rows, cols)
+        return _misfit_objective(x, p_hat, A, d, rows, cols)
 
     rng = np.random.default_rng(init_seed)
     x0 = rng.normal(scale=1e-2, size=d + 2 * n_off)
@@ -336,8 +384,10 @@ def reconstruct(
     # so they only keep line-search probes from overflowing exp
     bounds = [(-20.0, 20.0)] * d + [(-1e4, 1e4)] * (2 * n_off)
 
-    # ftol must sit near machine precision: the noiseless objective bottoms
-    # out around 1e-12 and the default relative-decrease test quits too early
+    if record.kind == "counts":
+        ftol = _SHOT_NOISE_FTOL * float(p_hat.sum()) / record.total_per_setting
+    else:
+        ftol = _NOISELESS_FTOL
     result = minimize(
         objective,
         x0,
@@ -347,7 +397,7 @@ def reconstruct(
         options={
             "maxiter": max_iterations,
             "gtol": gradient_tol,
-            "ftol": 1e-15,
+            "ftol": ftol,
             "maxfun": 10 * max_iterations,
         },
     )
@@ -361,19 +411,26 @@ def reconstruct(
     else:
         space = Space.tripartite(OamBasis(tuple(range(pset.d_sp))))
     rho_state = State(space, "density", rho)
-    # with sampled counts the objective plateaus at the shot-noise floor, so
-    # the iteration cap can trip long after the gradient has collapsed; a
-    # flat, zero-gradient endpoint is a converged fit regardless of the flag
-    grad_inf = float(np.abs(result.jac).max())
+    termination = _termination(result)
     fid = fidelity(rho_state, target) if target is not None else None
     return ReconstructionResult(
         rho_hat=rho_state,
         residual=float(math.sqrt(result.fun)),
         purity=purity(rho_state),
         iterations=int(result.nit),
-        converged=bool(result.success) or grad_inf <= 1e-5,
+        converged=termination in ("ftol", "gtol"),
+        termination=termination,
         fidelity_vs_target=fid,
     )
+
+
+def _termination(result) -> str:
+    """Which L-BFGS-B test ended the run (see :class:`ReconstructionResult`)."""
+    if result.status == 0:
+        return "gtol" if "GRADIENT" in str(result.message).upper() else "ftol"
+    if result.status == 1:
+        return "iteration_cap"
+    return "abnormal"
 
 
 def purity(state: State) -> float:

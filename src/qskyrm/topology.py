@@ -276,8 +276,19 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
 
 
 def skyrmion_number(density: SkyrmionDensityField) -> float:
-    """Riemann-sum integral of the density; the caller rounds if desired."""
-    return float(density.sigma.sum() * density.grid.cell_area)
+    """Riemann-sum integral of the density; the caller rounds if desired.
+
+    Raises :class:`InsufficientCoverageError` when any density cell is not
+    finite, rather than returning ``nan``.
+    """
+    total = float(density.sigma.sum())
+    if not math.isfinite(total):
+        fraction = float(np.isfinite(density.sigma).mean())
+        raise InsufficientCoverageError(
+            f"skyrmion density finite on {fraction:.1%} of the grid; the "
+            f"integral needs every cell"
+        )
+    return total * density.grid.cell_area
 
 
 def sphere_sweep(
@@ -353,7 +364,7 @@ def locate_quasiparticles(
         )
     sigma = density.sigma
     area = grid.cell_area
-    total = float(sigma.sum() * area)
+    total = skyrmion_number(density)
 
     s3 = density.spin[2]
     # keep the kernel's physical width tied to the beam, not the grid

@@ -207,6 +207,18 @@ def test_bell_ideal_and_werner(tmp_path):
     assert (out_b / "bell_fringes.csv").exists()
 
 
+def test_tomography_reports_termination(tmp_path):
+    out = tmp_path / "o"
+    code = main(["tomography", "--out", str(out), "--seed", "7"])
+    assert code == 0
+    doc = read_json(out / "tomography.json")
+    assert doc["record_kind"] == "counts"
+    assert doc["termination"] in ("ftol", "gtol")
+    assert doc["converged"] is True
+    assert doc["iterations"] < 1000
+    assert doc["fidelity_vs_target"] >= 0.98
+
+
 def test_witnesses_only_requires_state(tmp_path):
     code = main(["tomography", "--out", str(tmp_path), "--witnesses-only"])
     assert code == 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qskyrm import (
     BasisMismatchError,
@@ -23,6 +25,7 @@ from qskyrm import (
 from qskyrm.tomography import (
     _build_l,
     _estimate_probabilities,
+    _measurement_matrix,
     _misfit_objective,
     _tril_indexing,
 )
@@ -96,6 +99,18 @@ def test_maximally_mixed_is_flat(pset3):
     np.testing.assert_allclose(rec.values, 1.0 / 12.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d_sp, seed", [(2, 31), (3, 32), (3, 33)])
+def test_forward_model_matches_trace_rule(pset2, pset3, d_sp, seed):
+    pset = pset2 if d_sp == 2 else pset3
+    a = random_pure(pset.dim, seed).to_density()
+    b = random_pure(pset.dim, seed + 100).to_density()
+    mix = State(a.space, "density", 0.6 * a.data + 0.4 * b.data)
+    for state in (a, mix):
+        p = forward_model(state, pset).values
+        ref = [np.trace(state.data @ pset.projector(k)).real for k in range(len(pset))]
+        np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-14)
+
+
 def test_forward_model_dimension_check(pset2, binary_state):
     with pytest.raises(BasisMismatchError):
         forward_model(binary_state, pset2)  # 12-dim state, 8-dim settings
@@ -147,23 +162,63 @@ def test_simulate_counts_validation(pset3, binary_state):
 # ---------------------------------------------------------------------------
 
 
+def _reference_objective(x, p_hat, b, d, rows, cols):
+    """The misfit written directly over the kets b_k, as three-operand einsums."""
+    n_off = rows.size
+    L = _build_l(x, d, rows, cols)
+    a = L @ L.conj().T
+    t = np.trace(a).real
+    rho = a / t
+    err = np.einsum("ki,ij,kj->k", b.conj(), rho, b).real - p_hat
+    w = np.einsum("k,ki,kj->ij", err, b, b.conj())
+    g = (2.0 / t) * (w - np.trace(w @ rho).real * np.eye(d)) @ L
+    grad = np.concatenate(
+        [
+            2.0 * np.diag(g).real * np.exp(x[:d]),
+            2.0 * g[rows, cols].real,
+            2.0 * g[rows, cols].imag,
+        ]
+    )
+    return float(err @ err), grad
+
+
+def random_kets(rng, n, d):
+    b = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return b / np.linalg.norm(b, axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 40))
+def test_objective_matches_ket_reference(seed, d, n):
+    rng = np.random.default_rng(seed)
+    rows, cols = _tril_indexing(d)
+    b = random_kets(rng, n, d)
+    p_hat = rng.uniform(0.0, 1.0, size=n)
+    x = rng.normal(scale=0.5, size=d + 2 * rows.size)
+    f, grad = _misfit_objective(x, p_hat, _measurement_matrix(b), d, rows, cols)
+    f_ref, grad_ref = _reference_objective(x, p_hat, b, d, rows, cols)
+    # f is a sum of squared differences of probabilities, so rounding of p
+    # (relative to p, not to p - p_hat) sets its scale when p nearly fits
+    assert abs(f - f_ref) <= 1e-14 * max(f_ref, float(p_hat @ p_hat))
+    np.testing.assert_allclose(grad, grad_ref, rtol=0.0, atol=1e-12)
+
+
 def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(77)
     d = 4
     rows, cols = _tril_indexing(d)
     n_par = d + 2 * rows.size
-    b = rng.normal(size=(20, d)) + 1j * rng.normal(size=(20, d))
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    A = _measurement_matrix(random_kets(rng, 20, d))
     p_hat = rng.uniform(0.0, 0.5, size=20)
     x = rng.normal(scale=0.3, size=n_par)
-    _, grad = _misfit_objective(x, p_hat, b, d, rows, cols)
+    _, grad = _misfit_objective(x, p_hat, A, d, rows, cols)
     eps = 1e-6
     for k in range(n_par):
         xp, xm = x.copy(), x.copy()
         xp[k] += eps
         xm[k] -= eps
-        fp, _ = _misfit_objective(xp, p_hat, b, d, rows, cols)
-        fm, _ = _misfit_objective(xm, p_hat, b, d, rows, cols)
+        fp, _ = _misfit_objective(xp, p_hat, A, d, rows, cols)
+        fm, _ = _misfit_objective(xm, p_hat, A, d, rows, cols)
         fd = (fp - fm) / (2.0 * eps)
         assert abs(fd - grad[k]) < 1e-6 * max(1.0, abs(fd))
 
@@ -186,7 +241,7 @@ def test_noiseless_roundtrip_small(pset2):
     rec = forward_model(target, pset2)
     result = reconstruct(rec, pset2, init_seed=1, target=target)
     assert result.fidelity_vs_target >= 0.999
-    assert result.converged
+    assert result.converged and result.termination in ("ftol", "gtol")
     evals = np.linalg.eigvalsh(result.rho_hat.data)
     assert evals.min() >= -1e-10
 
@@ -206,6 +261,23 @@ def test_reconstruct_deterministic(pset2):
     r2 = reconstruct(rec, pset2, init_seed=6, target=target)
     assert np.array_equal(r1.rho_hat.data, r2.rho_hat.data)
     assert r1.iterations == r2.iterations
+
+
+def test_count_fit_stops_at_shot_noise_floor(pset3, binary_state):
+    record = simulate_counts(forward_model(binary_state, pset3), 10000, seed=5)
+    result = reconstruct(record, pset3, init_seed=5, target=binary_state)
+    assert result.iterations < 1000
+    assert result.termination != "iteration_cap"
+    assert result.converged
+    assert result.fidelity_vs_target >= 0.98
+
+
+def test_iteration_cap_is_not_convergence(pset3, binary_state):
+    record = simulate_counts(forward_model(binary_state, pset3), 10000, seed=5)
+    result = reconstruct(record, pset3, init_seed=5, max_iterations=5)
+    assert result.iterations == 5
+    assert result.termination == "iteration_cap"
+    assert not result.converged
 
 
 def test_record_length_check(pset2):

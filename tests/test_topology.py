@@ -59,6 +59,20 @@ def test_density_requires_coverage(small_grid):
         skyrmion_density(broken)
 
 
+def test_number_rejects_non_finite_density(small_grid, binary_state):
+    # two NaN rows of 128 pass the density's coverage gate, but the
+    # integral must not quietly come back as nan
+    unit = unit_texture(small_grid, binary_state)
+    s = unit.s.copy()
+    s[:, 60:62, :] = np.nan
+    broken = UnitStokesField(small_grid, s, unit.mask, unit.s0, unit.intensity_floor)
+    density = skyrmion_density(broken)
+    with pytest.raises(InsufficientCoverageError, match=r"finite on 9\d\.\d%"):
+        skyrmion_number(density)
+    with pytest.raises(InsufficientCoverageError):
+        locate_quasiparticles(density)
+
+
 def test_binary_pole_charge(mid_grid, binary_state):
     unit = unit_texture(mid_grid, binary_state, ProjectionAngles(0.0, 0.0))
     n = skyrmion_number(skyrmion_density(unit))
