@@ -4,12 +4,15 @@ Subcommands: build-state, sphere, stokes-field, skyrmion-number,
 quasiparticles, dynamics, tomography, bell.
 
 Configuration lives in an optional JSON file (--config) that flags override;
-flags win.  Unknown config keys are rejected and the full configuration is
-validated before anything is computed or written.  Output directories come
-from --out, the config, or the QSKYRM_OUTPUT_DIR environment variable, in
-that order.  Every command is deterministic for a given (config, seed): no
-timestamps are written anywhere, so reruns are byte-identical, and each
-product embeds the SHA-256 of its resolved configuration.
+flags win.  ``_OPTIONS`` is the single list of settings: each row declares one
+config key with its default, flag, help text, parser and validator, and the
+defaults, flags and per-field checks all derive from it.  Unknown config keys
+are rejected and the full configuration is validated before anything is
+computed or written.  Output directories come from --out, the config, or the
+QSKYRM_OUTPUT_DIR environment variable, in that order.  Every command is
+deterministic for a given (config, seed): no timestamps are written anywhere,
+so reruns are byte-identical, and each product embeds the SHA-256 of its
+resolved configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
 4 numerical failure.
@@ -23,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .bell import BellSubspace, bell_curves, chsh_parameter, heralded_werner_state
@@ -72,29 +76,6 @@ from .topology import (
 OUTPUT_DIR_ENV = "QSKYRM_OUTPUT_DIR"
 PLATEAU_TOL = 0.15
 
-_DEFAULTS = {
-    "output_dir": None,
-    "seed": 7,
-    "grid": {"n": 512, "half_extent": 4.0, "waist": 1.0},
-    "state": {
-        "file": None,
-        "ell_a": [0],
-        "q": 1.0,
-        "tuning": 0.5,
-        "ladder": None,
-        "extract": "none",
-    },
-    "sweep": {"theta": None, "alpha": None, "theta_fixed": None, "alpha_fixed": None},
-    "analysis": {"intensity_floor": 1e-6, "central_radius": None},
-    "tomography": {
-        "total_per_setting": 10000,
-        "noiseless": False,
-        "witnesses_only": False,
-        "target_file": None,
-    },
-    "bell": {"pol_b": "R", "pair": None, "werner_p": None},
-}
-
 
 @dataclass
 class RunConfig:
@@ -140,52 +121,34 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+def _number_list(kind):
+    """Parser for comma-separated ``kind`` values in flag text."""
 
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise MissingInputError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    def parse(text: str) -> list:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
             raise ConfigError(
-                f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+                f"cannot parse {text!r} as comma-separated {kind.__name__}s"
             ) from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    _check_keys(doc, _DEFAULTS, path)
-    for key, defaults in _DEFAULTS.items():
-        if isinstance(defaults, dict) and key in doc:
-            if not isinstance(doc[key], dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            _check_keys(doc[key], defaults, f"{path}:{key}")
-    return doc
+
+    return parse
 
 
-def _merge(doc: dict) -> dict:
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, dict):
-            section = dict(default)
-            section.update(doc.get(key, {}))
-            merged[key] = section
-        else:
-            merged[key] = doc.get(key, default)
-    return merged
+def _checked(convert, ok, message: str):
+    """Validator: ``convert`` the raw value, then reject it unless ``ok``."""
+
+    def check(raw):
+        value = convert(raw)
+        if not ok(value):
+            raise ConfigError(message.format(value))
+        return value
+
+    return check
 
 
-def _parse_numbers(text: str, kind=float) -> list:
-    try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse {text!r} as comma-separated {kind.__name__}s") from None
+def _nullable(check):
+    return lambda raw: None if raw is None else check(raw)
 
 
 def _snap_angle(value: float, hi: float) -> float:
@@ -195,6 +158,14 @@ def _snap_angle(value: float, hi: float) -> float:
     if 0.0 < abs(value) < 1e-4:
         return 0.0
     return value
+
+
+def _theta(raw) -> float:
+    return ProjectionAngles(_snap_angle(float(raw), math.pi)).theta
+
+
+def _alpha(raw) -> float:
+    return ProjectionAngles(0.0, _snap_angle(float(raw), 2.0 * math.pi)).alpha
 
 
 def _parse_projection(raw) -> list:
@@ -216,170 +187,167 @@ def _parse_projection(raw) -> list:
     return entries
 
 
+class _Option(NamedTuple):
+    """One setting: config key, default, flag, help text, parser and validator."""
+
+    key: str  # dotted config key: "seed" or "section.name"
+    default: object
+    flag: str
+    help: str
+    # int or float is the argparse type, a tuple lists the choices, bool makes a
+    # switch, and a function parses the flag text after argparse, so that a bad
+    # list is a config error (exit 2 with a message) rather than a usage error
+    flag_type: object = None
+    check: Callable = lambda raw: raw  # merged value -> RunConfig value; raises if bad
+    field: str = ""  # RunConfig field, when it is not the key's last part
+
+
+_INTS, _FLOATS = _number_list(int), _number_list(float)
+_EXTRACTS = ("none", "ghz", "reference")
+
+# the single list of settings (see the module docstring), in --help order
+_OPTIONS = (
+    _Option("output_dir", None, "--out", "output directory", field="out_dir",
+            check=lambda raw: raw or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"),
+    _Option("seed", 7, "--seed", "seed for anything stochastic", int, int),
+    _Option("grid.n", 512, "--grid-n", "grid cells per side", int, int, "grid_n"),
+    _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)",
+            float, float),
+    _Option("grid.waist", 1.0, "--waist", "mode waist", float, float),
+    _Option("analysis.intensity_floor", 1e-6, "--floor", "relative intensity floor", float,
+            _checked(float, lambda v: 0.0 < v <= 1.0,
+                     "analysis.intensity_floor must lie in (0, 1], got {}")),
+    _Option("state.file", None, "--state", "input state file (overrides built state)",
+            field="state_file"),
+    _Option("state.ell_a", [0], "--ell-a", "comma-separated arm-A projection charges",
+            _INTS, _parse_projection),
+    _Option("state.q", 1.0, "--q", "plate charge q (2q integer)", float,
+            lambda raw: QPlateParams(float(raw)).q),
+    _Option("state.tuning", 0.5, "--tuning", "plate tuning in [0, 1]", float,
+            lambda raw: QPlateParams(1.0, float(raw)).tuning),
+    _Option("state.ladder", None, "--ladder", "explicit l1,l2,l3 balanced-state charges",
+            _INTS, _nullable(_checked(lambda raw: [int(l) for l in raw],
+                                      lambda v: len(v) == len(set(v)) == 3,
+                                      "state.ladder needs 3 distinct charges, got {}"))),
+    _Option("state.extract", "none", "--extract", "post-build filter", _EXTRACTS,
+            _checked(lambda raw: raw, lambda v: v in _EXTRACTS,
+                     "state.extract must be none|ghz|reference, got {!r}")),
+    _Option("sweep.theta", None, "--theta", "comma-separated polar heralding angles",
+            _FLOATS, _nullable(lambda raw: [_theta(t) for t in raw])),
+    _Option("sweep.alpha", None, "--alpha", "comma-separated azimuthal heralding angles",
+            _FLOATS, _nullable(lambda raw: [_alpha(a) for a in raw])),
+    _Option("sweep.theta_fixed", None, "--theta-fixed", "fixed polar angle", float,
+            _nullable(_theta)),
+    _Option("sweep.alpha_fixed", None, "--alpha-fixed", "fixed azimuthal angle", float,
+            _nullable(_alpha)),
+    _Option("analysis.central_radius", None, "--central-radius", "central-region radius",
+            float, _nullable(_checked(float, lambda v: v > 0.0,
+                                      "analysis.central_radius must be positive"))),
+    _Option("tomography.total_per_setting", 10000, "--total-per-setting",
+            "mean counts per setting", int,
+            _nullable(_checked(int, lambda v: v >= 1,
+                               "tomography.total_per_setting must be >= 1"))),
+    _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool, bool),
+    _Option("tomography.witnesses_only", False, "--witnesses-only",
+            "only evaluate witnesses on --state", bool, bool),
+    _Option("tomography.target_file", None, "--target", "target state file for fidelity"),
+    _Option("bell.pol_b", "R", "--pol-b", "photon-B polarization sector", ("R", "L"), str),
+    _Option("bell.pair", None, "--pair", "comma-separated OAM pair for the Bell subspace",
+            _INTS, _nullable(lambda raw: tuple(int(l) for l in raw))),
+    _Option("bell.werner_p", None, "--werner-p", "Werner mixing weight", float,
+            _nullable(_checked(float, lambda v: 0.0 <= v <= 1.0,
+                               "bell.werner_p must lie in [0, 1], got {}"))),
+)
+
+
+def _slot(doc: dict, key: str) -> tuple[dict, str]:
+    """The dict holding dotted ``key`` in ``doc`` (made if absent), and its name there."""
+    section, _, name = key.rpartition(".")
+    return (doc.setdefault(section, {}) if section else doc), name
+
+
+def _check_keys(section: dict, allowed: dict, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
+def _merged_config(path: str | None) -> dict:
+    """Defaults overlaid with the config file at ``path``, if any."""
+    merged: dict = {}
+    for opt in _OPTIONS:
+        holder, name = _slot(merged, opt.key)
+        holder[name] = opt.default
+    if path is None:
+        return merged
+    if not os.path.exists(path):
+        raise MissingInputError(f"config file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+        except ValueError as exc:  # bytes that are not UTF-8
+            raise ConfigError(str(exc)) from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
+    _check_keys(doc, merged, path)
+    for key, value in doc.items():
+        if isinstance(merged[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            _check_keys(value, merged[key], f"{path}:{key}")
+            merged[key].update(value)
+        else:
+            merged[key] = value
+    return merged
+
+
 def _apply_flag_overrides(merged: dict, args: argparse.Namespace) -> None:
-    if args.out is not None:
-        merged["output_dir"] = args.out
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    grid = merged["grid"]
-    if args.grid_n is not None:
-        grid["n"] = args.grid_n
-    if args.half_extent is not None:
-        grid["half_extent"] = args.half_extent
-    if args.waist is not None:
-        grid["waist"] = args.waist
-    state = merged["state"]
-    if args.state is not None:
-        state["file"] = args.state
-    if args.ell_a is not None:
-        state["ell_a"] = _parse_numbers(args.ell_a, int)
-    if args.q is not None:
-        state["q"] = args.q
-    if args.tuning is not None:
-        state["tuning"] = args.tuning
-    if args.ladder is not None:
-        state["ladder"] = _parse_numbers(args.ladder, int)
-    if args.extract is not None:
-        state["extract"] = args.extract
-    sweep = merged["sweep"]
-    if args.theta is not None:
-        sweep["theta"] = _parse_numbers(args.theta)
-    if args.alpha is not None:
-        sweep["alpha"] = _parse_numbers(args.alpha)
-    if args.theta_fixed is not None:
-        sweep["theta_fixed"] = args.theta_fixed
-    if args.alpha_fixed is not None:
-        sweep["alpha_fixed"] = args.alpha_fixed
-    analysis = merged["analysis"]
-    if args.floor is not None:
-        analysis["intensity_floor"] = args.floor
-    if args.central_radius is not None:
-        analysis["central_radius"] = args.central_radius
-    tomo = merged["tomography"]
-    if args.total_per_setting is not None:
-        tomo["total_per_setting"] = args.total_per_setting
-    if args.noiseless:
-        tomo["noiseless"] = True
-    if args.witnesses_only:
-        tomo["witnesses_only"] = True
-    if args.target is not None:
-        tomo["target_file"] = args.target
-    bell = merged["bell"]
-    if args.pol_b is not None:
-        bell["pol_b"] = args.pol_b
-    if args.pair is not None:
-        bell["pair"] = _parse_numbers(args.pair, int)
-    if args.werner_p is not None:
-        bell["werner_p"] = args.werner_p
+    for opt in _OPTIONS:
+        value = getattr(args, opt.flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if callable(opt.flag_type) and not isinstance(opt.flag_type, type):
+            value = opt.flag_type(value)
+        holder, name = _slot(merged, opt.key)
+        holder[name] = value
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Parse, merge, and fully validate the configuration for one command."""
-    merged = _merge(_load_config_file(args.config))
+    merged = _merged_config(args.config)
     _apply_flag_overrides(merged, args)
 
-    out_dir = merged["output_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"
-
     try:
-        g = merged["grid"]
-        grid = GridSpec(int(g["n"]), int(g["n"]), float(g["half_extent"]), float(g["waist"]))
+        values = {}
+        for opt in _OPTIONS:
+            holder, name = _slot(merged, opt.key)
+            values[opt.field or name] = opt.check(holder[name])
+        n = values.pop("grid_n")
+        grid = GridSpec(n, n, values.pop("half_extent"), values.pop("waist"))
 
-        s = merged["state"]
-        ell_a = _parse_projection(s["ell_a"])
-        q = float(s["q"])
-        tuning = float(s["tuning"])
-        QPlateParams(q, tuning)  # range validation
-        ladder = s["ladder"]
-        if ladder is not None:
-            ladder = [int(l) for l in ladder]
-            if len(ladder) != 3 or len(set(ladder)) != 3:
-                raise ConfigError(f"state.ladder needs 3 distinct charges, got {ladder}")
-        extract = s["extract"]
-        if extract not in ("none", "ghz", "reference"):
-            raise ConfigError(f"state.extract must be none|ghz|reference, got {extract!r}")
-
-        sw = merged["sweep"]
-        two_pi = 2.0 * math.pi
-        theta = None if sw["theta"] is None else [_snap_angle(float(t), math.pi) for t in sw["theta"]]
-        alpha = None if sw["alpha"] is None else [_snap_angle(float(a), two_pi) for a in sw["alpha"]]
-        theta_fixed = None if sw["theta_fixed"] is None else _snap_angle(float(sw["theta_fixed"]), math.pi)
-        alpha_fixed = None if sw["alpha_fixed"] is None else _snap_angle(float(sw["alpha_fixed"]), two_pi)
-        for t in (theta or []):
-            ProjectionAngles(t, 0.0)
-        for a in (alpha or []):
-            ProjectionAngles(0.0, a)
-        if theta_fixed is not None or alpha_fixed is not None:
-            ProjectionAngles(
-                0.5 * math.pi if theta_fixed is None else theta_fixed,
-                0.0 if alpha_fixed is None else alpha_fixed,
-            )
-
-        an = merged["analysis"]
-        floor = float(an["intensity_floor"])
-        if not 0.0 < floor <= 1.0:
-            raise ConfigError(f"analysis.intensity_floor must lie in (0, 1], got {floor}")
-        central_radius = (
-            None if an["central_radius"] is None else float(an["central_radius"])
-        )
-        if central_radius is not None and central_radius <= 0.0:
-            raise ConfigError("analysis.central_radius must be positive")
-
-        tm = merged["tomography"]
-        total = tm["total_per_setting"]
-        total = None if total is None else int(total)
-        if total is not None and total < 1:
-            raise ConfigError("tomography.total_per_setting must be >= 1")
-
-        bl = merged["bell"]
-        pol_b = str(bl["pol_b"])
-        pair = bl["pair"]
-        if pair is not None:
-            pair = tuple(int(l) for l in pair)
-        werner_p = None if bl["werner_p"] is None else float(bl["werner_p"])
-        if pair is not None or werner_p is not None:
-            BellSubspace(pol_b, pair if pair is not None else (0, -2))
-        if werner_p is not None and not 0.0 <= werner_p <= 1.0:
-            raise ConfigError(f"bell.werner_p must lie in [0, 1], got {werner_p}")
+        pair = values["pair"]
+        if pair is not None or values["werner_p"] is not None:
+            BellSubspace(values["pol_b"], pair if pair is not None else (0, -2))
 
         if args.command == "dynamics":
+            theta, alpha = values["theta"], values["alpha"]
             if (theta is None) == (alpha is None):
                 raise ConfigError("dynamics needs exactly one of sweep.theta, sweep.alpha")
             varying = theta if theta is not None else alpha
             if len(varying) < 5:
                 raise ConfigError(f"dynamics sweep needs at least 5 samples, got {len(varying)}")
-    except (ValueError, TypeError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
     semantic = {k: v for k, v in merged.items() if k != "output_dir"}
     semantic["command"] = args.command
-    return RunConfig(
-        command=args.command,
-        out_dir=out_dir,
-        seed=int(merged["seed"]),
-        grid=grid,
-        intensity_floor=floor,
-        central_radius=central_radius,
-        state_file=s["file"],
-        ell_a=ell_a,
-        q=q,
-        tuning=tuning,
-        ladder=ladder,
-        extract=extract,
-        theta=theta,
-        alpha=alpha,
-        theta_fixed=theta_fixed,
-        alpha_fixed=alpha_fixed,
-        total_per_setting=total,
-        noiseless=bool(tm["noiseless"]),
-        witnesses_only=bool(tm["witnesses_only"]),
-        target_file=tm["target_file"],
-        pol_b=pol_b,
-        pair=pair,
-        werner_p=werner_p,
-        semantic=semantic,
-    )
+    return RunConfig(command=args.command, grid=grid, semantic=semantic, **values)
 
 
 def _load_state_checked(path: str) -> State:
@@ -547,7 +515,16 @@ def _sweep_angles(cfg: RunConfig) -> list[ProjectionAngles]:
 def cmd_dynamics(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
     sweep = _sweep_angles(cfg)
-    trace = track_dynamics(state, sweep, cfg.grid, cfg.central_radius, cfg.intensity_floor)
+    rendered = set()
+
+    def render(i: int, unit, density) -> None:
+        write_pgm(_out(cfg, f"frame_{i:03d}_sigma.pgm"), density.sigma)
+        write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), orientation_psi(unit))
+        rendered.add(i)
+
+    trace = track_dynamics(
+        state, sweep, cfg.grid, cfg.central_radius, cfg.intensity_floor, on_frame=render
+    )
     header, rows = trace_rows(trace)
     write_csv(_out(cfg, "dynamics.csv"), header, rows)
     write_json(
@@ -562,13 +539,13 @@ def cmd_dynamics(cfg: RunConfig) -> None:
             "meta": cfg.meta(),
         },
     )
-    for i, angles in enumerate(sweep):
+    # every frame gets a raster; the tracker drops a sample it cannot herald
+    # or resolve, and computing that frame again raises the reason
+    for i in sorted(set(range(len(sweep))) - rendered):
         unit = normalize_stokes(
-            conditional_stokes(state, angles, cfg.grid), cfg.intensity_floor
+            conditional_stokes(state, sweep[i], cfg.grid), cfg.intensity_floor
         )
-        density = skyrmion_density(unit)
-        write_pgm(_out(cfg, f"frame_{i:03d}_sigma.pgm"), density.sigma)
-        write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), orientation_psi(unit))
+        render(i, unit, skyrmion_density(unit))
     orbits = ", ".join(f"{v:+.3f}" for v in trace.net_orbit())
     print(f"{trace.n_tracks} track(s); net orbit [{orbits}]")
 
@@ -672,34 +649,17 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="seed for anything stochastic")
-    common.add_argument("--grid-n", type=int, help="grid cells per side")
-    common.add_argument("--half-extent", type=float, help="half window size (waist units)")
-    common.add_argument("--waist", type=float, help="mode waist")
-    common.add_argument("--floor", type=float, help="relative intensity floor")
-    common.add_argument("--state", help="input state file (overrides built state)")
-    common.add_argument("--ell-a", help="comma-separated arm-A projection charges")
-    common.add_argument("--q", type=float, help="plate charge q (2q integer)")
-    common.add_argument("--tuning", type=float, help="plate tuning in [0, 1]")
-    common.add_argument("--ladder", help="explicit l1,l2,l3 balanced-state charges")
-    common.add_argument(
-        "--extract", choices=("none", "ghz", "reference"), help="post-build filter"
-    )
-    common.add_argument("--theta", help="comma-separated polar heralding angles")
-    common.add_argument("--alpha", help="comma-separated azimuthal heralding angles")
-    common.add_argument("--theta-fixed", type=float, help="fixed polar angle")
-    common.add_argument("--alpha-fixed", type=float, help="fixed azimuthal angle")
-    common.add_argument("--central-radius", type=float, help="central-region radius")
-    common.add_argument("--total-per-setting", type=int, help="mean counts per setting")
-    common.add_argument("--noiseless", action="store_true", help="skip count noise")
-    common.add_argument(
-        "--witnesses-only", action="store_true", help="only evaluate witnesses on --state"
-    )
-    common.add_argument("--target", help="target state file for fidelity")
-    common.add_argument("--pol-b", choices=("R", "L"), help="photon-B polarization sector")
-    common.add_argument("--pair", help="comma-separated OAM pair for the Bell subspace")
-    common.add_argument("--werner-p", type=float, help="Werner mixing weight")
+    for opt in _OPTIONS:
+        kind = opt.flag_type
+        if kind is bool:  # absent is None, not False, so a config's true stands
+            extra = {"action": "store_true", "default": None}
+        elif kind in (int, float):
+            extra = {"type": kind}
+        elif isinstance(kind, tuple):
+            extra = {"choices": kind}
+        else:
+            extra = {}
+        common.add_argument(opt.flag, help=opt.help, **extra)
 
     parser = argparse.ArgumentParser(
         prog="qskyrm",
@@ -716,13 +676,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except MissingInputError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _COMMANDS[cfg.command](cfg)
     except MissingInputError as exc:

@@ -48,7 +48,6 @@ __all__ = [
     "ProjectionAngles",
     "SpdcSpectrum",
     "polarization_ket",
-    "pauli_matrices",
     "apply_qplate",
     "spdc_pair_state",
     "build_spin_skyrmion_state",
@@ -87,19 +86,6 @@ def polarization_ket(label: str) -> np.ndarray:
         return _POL_KETS[label].copy()
     except KeyError:
         raise ValueError(f"unknown polarization label {label!r}") from None
-
-
-def pauli_matrices() -> np.ndarray:
-    """Stack (4, 2, 2) of sigma_0..sigma_3 in the (R, L) basis."""
-    return np.array(
-        [
-            [[1, 0], [0, 1]],
-            [[0, 1], [1, 0]],
-            [[0, -1j], [1j, 0]],
-            [[1, 0], [0, -1]],
-        ],
-        dtype=complex,
-    )
 
 
 @dataclass(frozen=True)
@@ -394,15 +380,6 @@ class SpdcSpectrum:
     @staticmethod
     def flat(ells: Sequence[int]) -> "SpdcSpectrum":
         return SpdcSpectrum({int(l): 1.0 for l in ells})
-
-    @staticmethod
-    def gaussian(ells: Sequence[int], bandwidth: float) -> "SpdcSpectrum":
-        """Gaussian envelope exp(-l^2 / (2 bandwidth^2)) over the given charges."""
-        if bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
-        return SpdcSpectrum(
-            {int(l): math.exp(-0.5 * (l / bandwidth) ** 2) for l in ells}
-        )
 
     def amplitude(self, ell: int) -> float:
         return self.weights.get(int(ell), 0.0)

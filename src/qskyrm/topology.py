@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt, gaussian_filter
@@ -232,22 +232,6 @@ class DynamicsTrace:
     def net_spin(self) -> np.ndarray:
         """Per-track spin-phase advance from first to last resolved sample."""
         return self._net(self.spin_angles)
-
-    @property
-    def samples(self) -> list[dict]:
-        rows = []
-        for i, value in enumerate(self.param_values):
-            rows.append(
-                {
-                    "value": value,
-                    "radius": list(self.radii[i]),
-                    "orbit_angle": list(self.orbit_angles[i]),
-                    "spin_angle": list(self.spin_angles[i]),
-                    "count": self.counts[i],
-                    "ambiguous": self.ambiguous[i],
-                }
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +434,8 @@ def track_dynamics(
     grid: GridSpec | None = None,
     central_radius: float | None = None,
     intensity_floor: float = DEFAULT_INTENSITY_FLOOR,
+    *,
+    on_frame: Callable[[int, UnitStokesField, SkyrmionDensityField], None] | None = None,
 ) -> DynamicsTrace:
     """Follow quasiparticles of the heralded texture through an angle sweep.
 
@@ -459,7 +445,9 @@ def track_dynamics(
     inter-particle spacing, with ties broken by constant-velocity
     extrapolation (such samples are flagged ambiguous).  Tracks that lose
     their region (e.g. cores merging into the central structure) end; their
-    later entries stay NaN.
+    later entries stay NaN.  ``on_frame(i, unit, density)``, when given, is
+    called with each sample's texture and density; samples dropped for zero
+    heralding probability or an empty field are not passed to it.
     """
     sweep = list(sweep)
     if len(sweep) < 5:
@@ -477,7 +465,7 @@ def track_dynamics(
 
     per_sample: list[list[dict]] = []
     counts: list[int] = []
-    for angles in sweep:
+    for i_sample, angles in enumerate(sweep):
         try:
             field = conditional_stokes(state, angles, grid)
             unit = normalize_stokes(field, intensity_floor)
@@ -486,6 +474,8 @@ def track_dynamics(
             counts.append(0)
             continue
         density = skyrmion_density(unit)
+        if on_frame is not None:
+            on_frame(i_sample, unit, density)
         report = locate_quasiparticles(density, central_radius)
         entries = []
         for region in report.regions:

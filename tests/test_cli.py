@@ -6,7 +6,19 @@ import os
 
 import pytest
 
-from qskyrm.cli import main
+from qskyrm import (
+    GridSpec,
+    ProjectionAngles,
+    QPlateParams,
+    build_spin_skyrmion_state,
+    conditional_stokes,
+    normalize_stokes,
+    skyrmion_density,
+)
+from qskyrm.cli import _build_parser, main, resolve_config
+from qskyrm.export import write_pgm
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def read_json(path):
@@ -185,6 +197,42 @@ def test_dynamics_outputs(tmp_path):
     assert (out / "frame_004_sigma.pgm").exists()
 
 
+def test_dynamics_frame_matches_direct_render(tmp_path):
+    # each raster comes from the tracker's own pass over the frame
+    out = tmp_path / "o"
+    alphas = (0.0, 0.9, 1.8, 2.7, 3.6)
+    argv = ["dynamics", "--out", str(out), "--grid-n", "64", "--theta-fixed", "1.26"]
+    assert main(argv + ["--alpha", ",".join(map(str, alphas))]) == 0
+    state = build_spin_skyrmion_state([0], QPlateParams(1.0, 0.5))
+    unit = normalize_stokes(
+        conditional_stokes(state, ProjectionAngles(1.26, alphas[2]), GridSpec(64, 64)), 1e-6
+    )
+    write_pgm(str(tmp_path / "ref.pgm"), skyrmion_density(unit).sigma)
+    for suffix in ("", ".json"):
+        assert (out / f"frame_002_sigma.pgm{suffix}").read_bytes() == (
+            tmp_path / f"ref.pgm{suffix}"
+        ).read_bytes()
+
+
+def test_dynamics_unheralded_sample_is_numerical_failure(tmp_path, capsys):
+    # with the plate off, heralding at the south pole has zero probability
+    code = main(
+        [
+            "dynamics",
+            "--out",
+            str(tmp_path / "o"),
+            "--grid-n",
+            "64",
+            "--tuning",
+            "0",
+            "--theta",
+            "0,0.8,1.6,2.4,3.14159",
+        ]
+    )
+    assert code == 4
+    assert "heralding probability" in capsys.readouterr().err
+
+
 def test_dynamics_needs_enough_samples(tmp_path, capsys):
     code = main(
         ["dynamics", "--out", str(tmp_path), "--alpha", "0,1,2"]
@@ -281,3 +329,49 @@ def test_extract_ghz_through_cli(tmp_path):
     assert code == 0
     doc = read_json(out / "state.json")
     assert doc["kind"] == "pure"
+
+
+# config_sha256 of each recipe under the command README.md pairs it with, and
+# of a few flag-only runs; any change to the option table that changes what
+# a run hashes to shows up here
+GOLDEN_HASHES = [
+    (["sphere", "--config", "binary_sphere.json"],
+     "add134a392b5739d15a0960ab825485e12f96823d6a643878dfcda2da8dad464"),
+    (["sphere", "--config", "deep_ladder_sphere.json"],
+     "7723c454adf74e35fd0c17433054742b598be8b73b1a929f991a3606393a0218"),
+    (["sphere", "--config", "ternary_sphere.json"],
+     "bf9b695155b2974b42f07f8d068805ed043c27541e47492c70e991c7eb033286"),
+    (["sphere", "--config", "ghz_sphere.json"],
+     "0f1b31877c3f0fc90a888aacd49dd742d6aea20c11a90451c6a32a40aadd720e"),
+    (["quasiparticles", "--config", "equator_quasiparticles.json"],
+     "c1f6017cb7ff3471dfb5484b61ef5ccd288a34c9bac5bc3ddd3582e304dd6535"),
+    (["dynamics", "--config", "alpha_orbit.json"],
+     "8f5e8c048102ca1e001afb5d8521a64b922b0bc585fb6cf8134fd6d3dde33d70"),
+    (["dynamics", "--config", "theta_merge.json"],
+     "c4b83bf1d259191665d66310f0af940bbefb5df7b1d321d28f25f412e04f9951"),
+    (["tomography", "--config", "tomography_counts.json"],
+     "74c9517d29f595ab9f5caeb3ef9279b5bd3778f533349fde6063af428f9c4761"),
+    (["bell", "--config", "ideal_bell.json"],
+     "5235fff4ad0408a8cef36f84f7764e4e0a4b34e6847179854eeac367195a73e9"),
+    (["bell", "--config", "werner_bell.json"],
+     "a006a4e4e8a65dab7a0d5d261ea8b14e3b1d76b07443c6b19c5c73ff26e05bb5"),
+    # same settings as ternary_sphere.json, given as flags
+    (["sphere", "--ell-a", "0,-1", "--q", "2.5"],
+     "bf9b695155b2974b42f07f8d068805ed043c27541e47492c70e991c7eb033286"),
+    (["sphere", "--theta", "0,3.1416"],
+     "d5b230289e71403a105490cfe3f26093d678591cd30e6c452e082acc54c4721a"),
+    (["dynamics", "--alpha", "0,1,2,3,4", "--theta-fixed", "1.26"],
+     "fe9d4288ba4975a0ba55231f6fc50f7de193eee44d25b7e072e0562fbc75f11d"),
+    (["bell", "--pol-b", "L", "--pair", "0,-2"],
+     "8dd067afb3b7045c0ee1aa11cc556a36c6a89c61ffb885ff948d845d7e2b164e"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_HASHES, ids=lambda v: " ".join(v)[:60])
+def test_config_hash_is_pinned(argv, expected):
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        argv = argv[:at] + [os.path.join(CONFIG_DIR, argv[at])] + argv[at + 1:]
+    cfg = resolve_config(_build_parser().parse_args(argv))
+    assert cfg.hash() == expected
+    assert cfg.meta()["config_sha256"] == expected

@@ -9,10 +9,12 @@ from qskyrm import (
     GridSpec,
     InsufficientCoverageError,
     ProjectionAngles,
+    QPlateParams,
     SkyrmionDensityField,
     UnitStokesField,
     UnsupportedStateError,
     balanced_switch_state,
+    build_spin_skyrmion_state,
     conditional_stokes,
     locate_quasiparticles,
     normalize_stokes,
@@ -230,6 +232,23 @@ def test_track_dynamics_validation(small_grid, binary_state):
     both = [ProjectionAngles(0.1 * k, 0.1 * k) for k in range(5)]
     with pytest.raises(ValueError):
         track_dynamics(binary_state, both, small_grid)
+
+
+def test_on_frame_sees_each_kept_sample():
+    # with the plate off, heralding at the south pole has zero probability,
+    # so the tracker drops the last sample and does not pass it on
+    state = build_spin_skyrmion_state([0], QPlateParams(1.0, 0.0))
+    grid = GridSpec(64, 64)
+    sweep = [ProjectionAngles(t, 0.0) for t in (0.0, 0.8, 1.6, 2.4, math.pi)]
+    seen = []
+
+    def on_frame(i, unit, density):
+        np.testing.assert_array_equal(density.sigma, skyrmion_density(unit).sigma)
+        seen.append(i)
+
+    trace = track_dynamics(state, sweep, grid, on_frame=on_frame)
+    assert seen == [0, 1, 2, 3]
+    assert trace.counts[4] == 0
 
 
 def test_alpha_scan_orbit_and_spin(small_grid, binary_state):
