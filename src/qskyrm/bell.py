@@ -111,9 +111,8 @@ def _coincidence_probability(
     analyzer[basis.index(subspace.pair[0])] = 1.0 / math.sqrt(2.0)
     analyzer[basis.index(subspace.pair[1])] = np.exp(-1j * theta_b) / math.sqrt(2.0)
     m = np.kron(herald, np.kron(polarization_ket(subspace.pol_b), analyzer))
-    if state.is_pure:
-        return float(abs(np.vdot(m, state.data)) ** 2)
-    return float(np.vdot(m, state.data @ m).real)
+    kets = state.kets().reshape(-1, state.dim)
+    return float(sum(abs(np.vdot(m, k)) ** 2 for k in kets))
 
 
 def bell_curves(

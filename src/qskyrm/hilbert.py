@@ -222,9 +222,13 @@ class Space:
 class State:
     """Pure amplitude vector or density matrix over a :class:`Space`.
 
-    ``data`` is complex128 and read-only.  Pure vectors are validated to unit
-    norm; density matrices to Hermitian, unit trace, and eigenvalues above
-    -1e-10.
+    ``data`` is complex128, finite and read-only.  Pure vectors are validated
+    to unit norm; density matrices to Hermitian, unit trace, and eigenvalues
+    above -1e-10.  :meth:`kets` views either kind as an ensemble of weighted
+    kets whose projectors sum to the state.  Heralding, OAM projections and
+    restrictions, Stokes synthesis and Bell probabilities run over that
+    ensemble, so pure and mixed inputs share one code path, and a state they
+    return keeps the input's ``kind``.
     """
 
     space: Space
@@ -235,6 +239,8 @@ class State:
         if self.kind not in ("pure", "density"):
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
         arr = np.array(self.data, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.kind} state data holds non-finite values")
         dim = self.space.dim
         if self.kind == "pure":
             if arr.shape != (dim,):
@@ -291,6 +297,20 @@ class State:
         if self.is_pure:
             return self.data.reshape(dims)
         return self.data.reshape(dims + dims)
+
+    def kets(self) -> np.ndarray:
+        """Ket ensemble with the weights folded in: shape ``(rank, *space.dims)``
+        with ``rho = sum_k |k><k|``.
+
+        A pure state gives its amplitude tensor under one leading axis; a
+        density matrix gives the eigenvectors of its positive eigenvalues w,
+        each scaled by sqrt(w).
+        """
+        if self.is_pure:
+            return self.data.reshape((1,) + self.space.dims)
+        w, v = np.linalg.eigh(self.data)
+        keep = w > 0.0
+        return (v[:, keep] * np.sqrt(w[keep])).T.reshape((-1,) + self.space.dims)
 
     def to_density(self) -> "State":
         if not self.is_pure:
@@ -580,41 +600,35 @@ def _reorder_oam(state: State, arm: str, order: Sequence[int], prune: bool) -> S
     raise UnsupportedStateError("basis reordering is implemented for pure states")
 
 
+def _from_kets(space: Space, kets: np.ndarray, pure: bool) -> State:
+    """State over ``space`` from a ket ensemble shaped as by :meth:`State.kets`:
+    the single ket itself when ``pure``, else ``rho = sum_k |k><k|``."""
+    flat = kets.reshape(len(kets), -1)
+    if pure:
+        return State(space, "pure", flat[0])
+    return State(space, "density", flat.T @ flat.conj())
+
+
 def herald_polarization(state: State, angles: ProjectionAngles) -> tuple[State, float]:
     """Project arm A's polarization onto the heralding ket and drop that axis.
 
-    Returns the renormalized conditional state of what remains (for the
-    canonical tripartite input: photon B over pol_B x oam_B) and the
-    heralding probability.  Works for pure and density inputs.
+    Each ket of the state's ensemble is contracted with the heralding ket; the
+    heralding probability is the total squared norm of what remains.  Returns
+    the renormalized conditional state (for the canonical tripartite input:
+    photon B over pol_B x oam_B, of the input's kind) and that probability.
     """
     try:
         ip = state.space.axis_position("pol_A")
     except KeyError:
         raise UnsupportedStateError("state has no pol_A axis to herald on") from None
-    ket = angles.ket()
-    space = state.space.drop_axis("pol_A")
-    if state.is_pure:
-        psi = np.moveaxis(state.tensor(), ip, 0)
-        cond = np.tensordot(ket.conj(), psi, axes=(0, 0))
-        prob = float(np.sum(np.abs(cond) ** 2))
-        if prob < _PROB_FLOOR:
-            raise ZeroProbabilityError(
-                f"heralding probability {prob:.3e} below {_PROB_FLOOR:.0e}"
-            )
-        return State(space, "pure", cond.reshape(-1) / math.sqrt(prob)), prob
-    n = len(state.space.axes)
-    rho = np.moveaxis(state.tensor(), (ip, n + ip), (0, 1))
-    cond = np.einsum("i,ij...,j->...", ket.conj(), rho, ket)
-    d = space.dim
-    cond = cond.reshape(d, d)
-    prob = float(np.trace(cond).real)
+    cond = np.tensordot(angles.ket().conj(), state.kets(), axes=(0, ip + 1))
+    prob = float(np.sum(np.abs(cond) ** 2))
     if prob < _PROB_FLOOR:
         raise ZeroProbabilityError(
             f"heralding probability {prob:.3e} below {_PROB_FLOOR:.0e}"
         )
-    cond = cond / prob
-    cond = 0.5 * (cond + cond.conj().T)  # scrub float dust before validation
-    return State(space, "density", cond), prob
+    space = state.space.drop_axis("pol_A")
+    return _from_kets(space, cond / math.sqrt(prob), state.is_pure), prob
 
 
 def _chi_vector(basis: OamBasis, coeffs) -> np.ndarray:
@@ -632,11 +646,14 @@ def project_oam(
     """Project the named arm's OAM onto the superposition given by ``coeffs``.
 
     ``coeffs`` follows the same forms as in :func:`build_spin_skyrmion_state`
-    and is normalized.  Requested charges absent from the state's basis
-    contribute nothing to the probability; with ``keep_axis`` they do appear
-    in the output (a pure state collapses onto the full requested ket, so the
-    basis is extended to hold it).  Without ``keep_axis`` the axis is removed.
-    Returns the renormalized state and the projection probability.
+    and is normalized.  Each ket of the state's ensemble is contracted with
+    the requested OAM ket; the probability is the total squared norm of what
+    remains.  Requested charges absent from the state's basis contribute
+    nothing to the probability; with ``keep_axis`` they do appear in the
+    output (every ket collapses onto the full requested OAM ket, so the basis
+    is extended to hold it).  Without ``keep_axis`` the axis is removed.
+    Returns the renormalized state, of the input's kind, and the projection
+    probability.
     """
     try:
         io = state.space.axis_position(f"oam_{arm}")
@@ -648,58 +665,28 @@ def project_oam(
     if np.linalg.norm(chi_in) == 0.0:
         raise ZeroProbabilityError("projection charges are all outside the basis")
 
-    if state.is_pure:
-        psi = np.moveaxis(state.tensor(), io, 0)
-        overlap = np.tensordot(chi_in.conj(), psi, axes=(0, 0))
-        prob = float(np.sum(np.abs(overlap) ** 2))
-        if prob < _PROB_FLOOR:
-            raise ZeroProbabilityError(
-                f"projection probability {prob:.3e} below {_PROB_FLOOR:.0e}"
-            )
-        if keep_axis:
-            wide_ells = list(basis.ells)
-            for l, _ in entries:
-                if l not in wide_ells:
-                    wide_ells.append(l)
-            wide = OamBasis(tuple(wide_ells))
-            chi_full = np.zeros(wide.dim, dtype=complex)
-            for l, a in entries:
-                chi_full[wide.index(l)] = a
-            out = np.multiply.outer(chi_full, overlap / math.sqrt(prob))
-            out = np.moveaxis(out, 0, io)
-            space = state.space.replace_basis(arm, wide)
-            return State(space, "pure", out.reshape(-1)), prob
-        space = state.space.drop_axis(f"oam_{arm}")
-        # overlap's axes follow psi's remaining order, which matches `space`
-        return State(space, "pure", overlap.reshape(-1) / math.sqrt(prob)), prob
-
-    n = len(state.space.axes)
-    rho = np.moveaxis(state.tensor(), (io, n + io), (0, 1))
-    cond = np.einsum("i,ij...,j->...", chi_in.conj(), rho, chi_in)
-    d_rest = state.space.drop_axis(f"oam_{arm}").dim
-    cond = cond.reshape(d_rest, d_rest)
-    prob = float(np.trace(cond).real)
+    overlap = np.tensordot(chi_in.conj(), state.kets(), axes=(0, io + 1))
+    prob = float(np.sum(np.abs(overlap) ** 2))
     if prob < _PROB_FLOOR:
         raise ZeroProbabilityError(
             f"projection probability {prob:.3e} below {_PROB_FLOOR:.0e}"
         )
-    cond = cond / prob
-    cond = 0.5 * (cond + cond.conj().T)
     if not keep_axis:
-        return State(state.space.drop_axis(f"oam_{arm}"), "density", cond), prob
+        # overlap's axes follow the remaining order, which matches `space`
+        space = state.space.drop_axis(f"oam_{arm}")
+        return _from_kets(space, overlap / math.sqrt(prob), state.is_pure), prob
+    wide_ells = list(basis.ells)
     for l, _ in entries:
-        if l not in basis:
-            raise BasisMismatchError(
-                "density projection with kept axis needs all charges in the basis"
-            )
-    unit = chi_in / np.linalg.norm(chi_in)
-    mat = np.multiply.outer(np.outer(unit, unit.conj()), cond)
-    # axes now (i, j, rest_bra, rest_ket): weave back into the space ordering
-    dims = state.space.dims
-    rest_dims = tuple(d for k, d in enumerate(dims) if k != io)
-    mat = mat.reshape((basis.dim, basis.dim) + rest_dims + rest_dims)
-    mat = np.moveaxis(mat, (0, 1), (io, n + io))
-    return State(state.space, "density", mat.reshape(state.dim, state.dim)), prob
+        if l not in wide_ells:
+            wide_ells.append(l)
+    wide = OamBasis(tuple(wide_ells))
+    chi_full = np.zeros(wide.dim, dtype=complex)
+    for l, a in entries:
+        chi_full[wide.index(l)] = a
+    out = np.multiply.outer(chi_full, overlap / math.sqrt(prob))
+    out = np.moveaxis(out, 0, io + 1)
+    space = state.space.replace_basis(arm, wide)
+    return _from_kets(space, out, state.is_pure), prob
 
 
 def project_oam_b(state: State, coeffs) -> State:
@@ -720,22 +707,12 @@ def restrict_oam_b(state: State, ells: Sequence[int]) -> State:
     if not keep:
         raise ZeroProbabilityError("no requested charge is present in the basis")
     mask = np.array([l in keep for l in basis.ells], dtype=bool)
-    if state.is_pure:
-        psi = np.moveaxis(state.tensor(), io, 0).copy()
-        psi[~mask] = 0.0
-        nrm = np.linalg.norm(psi)
-        if nrm**2 < _PROB_FLOOR:
-            raise ZeroProbabilityError("subspace restriction annihilated the state")
-        return State(state.space, "pure", np.moveaxis(psi, 0, io).reshape(-1) / nrm)
-    n = len(state.space.axes)
-    rho = np.moveaxis(state.tensor(), (io, n + io), (0, 1)).copy()
-    rho[~mask] = 0.0
-    rho[:, ~mask] = 0.0
-    rho = np.moveaxis(rho, (0, 1), (io, n + io)).reshape(state.dim, state.dim)
-    tr = np.trace(rho).real
-    if tr < _PROB_FLOOR:
+    kets = np.moveaxis(state.kets(), io + 1, 0).copy()
+    kets[~mask] = 0.0
+    nrm = np.linalg.norm(kets)
+    if nrm**2 < _PROB_FLOOR:
         raise ZeroProbabilityError("subspace restriction annihilated the state")
-    return State(state.space, "density", rho / tr)
+    return _from_kets(state.space, np.moveaxis(kets, 0, io + 1) / nrm, state.is_pure)
 
 
 def extract_ghz_state(state: State, ells: Sequence[int] | None = None) -> State:
@@ -830,6 +807,15 @@ def state_to_dict(state: State) -> dict:
 
 
 def state_from_dict(payload: Mapping) -> State:
+    """Inverse of :func:`state_to_dict`; a malformed document raises ValueError."""
+    if not isinstance(payload, Mapping):
+        raise ValueError("state document must be a JSON object")
+    for key in ("basis_order", "oam_basis", "kind", "amplitudes"):
+        if key not in payload:
+            raise ValueError(f"state document has no {key!r} entry")
+    kind = payload["kind"]
+    if kind not in ("pure", "density"):
+        raise ValueError(f"state kind must be 'pure' or 'density', got {kind!r}")
     names = list(payload["basis_order"])
     oam = payload["oam_basis"]
     if isinstance(oam, Mapping):
@@ -838,10 +824,10 @@ def state_from_dict(payload: Mapping) -> State:
         bases = {"B": OamBasis(tuple(int(l) for l in oam))}
     axes = []
     for name in names:
-        kind, _, arm = name.partition("_")
-        if kind == "pol":
+        axis_kind, _, arm = name.partition("_")
+        if axis_kind == "pol":
             axes.append(Axis(name, "pol"))
-        elif kind == "oam":
+        elif axis_kind == "oam":
             try:
                 axes.append(Axis(name, "oam", bases[arm]))
             except KeyError:
@@ -852,7 +838,6 @@ def state_from_dict(payload: Mapping) -> State:
     flat = np.array(
         [complex(re, im) for re, im in payload["amplitudes"]], dtype=complex
     )
-    kind = payload["kind"]
     if kind == "pure":
         return State(space, "pure", flat)
     dim = space.dim

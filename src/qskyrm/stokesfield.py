@@ -8,10 +8,11 @@ each sample::
     S0 = P_RR + P_LL     S1 =  2 Re P_RL
     S3 = P_RR - P_LL     S2 = -2 Im P_RL
 
-with ``P(r) = E(r) E(r)^dag`` for a pure state (``E = (E_R, E_L)``) and the
-mode-sandwiched density matrix otherwise.  For pure states the reduced vector
-``s = (S1, S2, S3)/S0`` has unit length wherever S0 > 0; mixed states give
-|s| <= 1.
+with ``P(r) = sum_k E_k(r) E_k(r)^dag`` summed over the state's ket ensemble
+(:meth:`State.kets`), where ``E_k = (E_R, E_L)`` is the field of ket k: one
+term for a pure state, one per positive eigenvalue of a density matrix.  For
+pure states the reduced vector ``s = (S1, S2, S3)/S0`` has unit length
+wherever S0 > 0; mixed states give |s| <= 1.
 
 Topology routines need ``s`` defined on the whole grid, so
 :func:`normalize_stokes` fills the cells below an intensity floor (relative
@@ -135,32 +136,27 @@ def _photon_axes(state: State) -> tuple[int, int]:
 
 
 def stokes_of_photon_state(state: State, grid: GridSpec) -> StokesField:
-    """Stokes maps of a single-photon polarization x OAM state (pure or mixed)."""
+    """Stokes maps of a single-photon polarization x OAM state (pure or mixed),
+    summed over the state's ket ensemble."""
     ip, io = _photon_axes(state)
     basis = state.space.axes[io].basis
     modes = mode_stack(basis.ells, grid)
+    kets = state.kets()
+    if ip == 1:
+        kets = np.swapaxes(kets, 1, 2)
 
-    if state.is_pure:
-        amp = state.tensor()
-        if ip == 1:
-            amp = amp.T
-        field = np.tensordot(amp, modes, axes=(1, 0))  # (2, ny, nx)
-        u, v = field[0], field[1]
-        s0 = np.abs(u) ** 2 + np.abs(v) ** 2
-        s3 = np.abs(u) ** 2 - np.abs(v) ** 2
+    # starts at -0.0, since -0.0 + x == x for every x, signed zeros included;
+    # one ket's field at a time: a (rank, 2, ny, nx) field stack is slower
+    values = np.full((4,) + grid.shape, -0.0)
+    for amp in kets:
+        u, v = np.tensordot(amp, modes, axes=(1, 0))  # (2, ny, nx)
+        pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
         cross = 2.0 * np.conj(u) * v
-        s1, s2 = cross.real, cross.imag
-    else:
-        rho = state.tensor()  # axis order (pol, oam, pol, oam) up to ip/io
-        if ip == 1:
-            rho = np.transpose(rho, (1, 0, 3, 2))
-        p = np.einsum("jkmn,kyx,nyx->jmyx", rho, modes, np.conj(modes))
-        s0 = (p[0, 0] + p[1, 1]).real
-        s3 = (p[0, 0] - p[1, 1]).real
-        s1 = 2.0 * p[0, 1].real
-        s2 = -2.0 * p[0, 1].imag
-
-    return StokesField(grid, np.stack([s0, s1, s2, s3]))
+        values[0] += pu + pv
+        values[1] += cross.real
+        values[2] += cross.imag
+        values[3] += pu - pv
+    return StokesField(grid, values)
 
 
 def conditional_stokes(

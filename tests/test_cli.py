@@ -331,6 +331,88 @@ def test_extract_ghz_through_cli(tmp_path):
     assert doc["kind"] == "pure"
 
 
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (without("kind"), "'kind'"),
+        (without("basis_order"), "'basis_order'"),
+        (without("oam_basis"), "'oam_basis'"),
+        (without("amplitudes"), "'amplitudes'"),
+        (lambda doc: dict(doc, kind="mixed"), "'mixed'"),
+        (lambda doc: [doc], "JSON object"),
+        # a NaN amplitude used to pass validation and fail later as a dark field
+        (lambda doc: dict(doc, amplitudes=[[math.nan, 0.0]] + doc["amplitudes"][1:]),
+         "non-finite"),
+    ],
+    ids=["no-kind", "no-basis-order", "no-oam-basis", "no-amplitudes", "unknown-kind",
+         "not-an-object", "nan-amplitude"],
+)
+def test_malformed_state_file_is_numerical_failure(tmp_path, capsys, edit, message):
+    state_dir = tmp_path / "s"
+    assert main(["build-state", "--out", str(state_dir)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(read_json(state_dir / "state.json"))))
+    capsys.readouterr()
+    code = main(["skyrmion-number", "--out", str(tmp_path / "o"), "--state", str(bad)])
+    assert code == 4
+    assert message in capsys.readouterr().err
+
+
+# each recipe under the command README.md pairs it with, on a coarse grid
+RECIPES = [
+    ("sphere", "binary_sphere.json"),
+    ("sphere", "deep_ladder_sphere.json"),
+    ("sphere", "ternary_sphere.json"),
+    ("sphere", "ghz_sphere.json"),
+    ("quasiparticles", "equator_quasiparticles.json"),
+    ("dynamics", "alpha_orbit.json"),
+    ("dynamics", "theta_merge.json"),
+    ("tomography", "tomography_counts.json"),
+    ("bell", "ideal_bell.json"),
+    ("bell", "werner_bell.json"),
+]
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def run_twice(tmp_path, capsys, argv):
+    results = []
+    for name in ("a", "b"):
+        capsys.readouterr()
+        code = main(argv + ["--out", str(tmp_path / name)])
+        results.append((code, capsys.readouterr().out, tree_bytes(tmp_path / name)))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command, recipe", RECIPES, ids=[r for _, r in RECIPES])
+def test_recipe_rerun_is_byte_identical(tmp_path, capsys, command, recipe):
+    argv = [command, "--config", os.path.join(CONFIG_DIR, recipe)]
+    if "grid" in read_json(os.path.join(CONFIG_DIR, recipe)):
+        argv += ["--grid-n", "64"]
+    run_twice(tmp_path, capsys, argv)
+
+
+def test_density_state_rerun_is_byte_identical(tmp_path, capsys):
+    # a fitted estimate is a full-rank density matrix: its ket ensemble comes
+    # from an eigendecomposition
+    fit = tmp_path / "fit"
+    assert main(["tomography", "--out", str(fit), "--seed", "7"]) == 0
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(read_json(fit / "tomography.json")["rho"]))
+    run_twice(
+        tmp_path,
+        capsys,
+        ["skyrmion-number", "--state", str(rho_file), "--grid-n", "128"],
+    )
+
+
 # config_sha256 of each recipe under the command README.md pairs it with, and
 # of a few flag-only runs; any change to the option table that changes what
 # a run hashes to shows up here

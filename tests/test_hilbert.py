@@ -86,6 +86,17 @@ def test_state_norm_validation():
         State.pure(space, np.zeros(12, dtype=complex), normalize=True)
 
 
+@pytest.mark.parametrize(
+    "kind, bad",
+    [("pure", float("nan")), ("pure", float("inf")), ("density", float("nan"))],
+)
+def test_state_rejects_non_finite_data(binary_state, kind, bad):
+    data = np.array(binary_state.data if kind == "pure" else binary_state.to_density().data)
+    data.flat[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        State(binary_state.space, kind, data)
+
+
 def test_projection_angles_domain():
     ProjectionAngles(0.0, 0.0)
     ProjectionAngles(math.pi, 2.0 * math.pi)  # closed at both alpha endpoints
