@@ -806,6 +806,32 @@ def state_to_dict(state: State) -> dict:
     }
 
 
+def _axis_names(value) -> list[str]:
+    names = list(value)
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("axis names must be strings")
+    return names
+
+
+def _oam_charges(value) -> dict[str, tuple[int, ...]]:
+    if isinstance(value, Mapping):
+        return {arm: tuple(int(l) for l in ells) for arm, ells in value.items()}
+    return {"B": tuple(int(l) for l in value)}
+
+
+def _complex_entries(value) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in value], dtype=complex)
+
+
+def _document_entry(payload: Mapping, key: str, parse):
+    """``parse(payload[key])``; an entry of the wrong JSON type raises a
+    ValueError that names it."""
+    try:
+        return parse(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"state document entry {key!r} is malformed: {exc}") from None
+
+
 def state_from_dict(payload: Mapping) -> State:
     """Inverse of :func:`state_to_dict`; a malformed document raises ValueError."""
     if not isinstance(payload, Mapping):
@@ -816,12 +842,11 @@ def state_from_dict(payload: Mapping) -> State:
     kind = payload["kind"]
     if kind not in ("pure", "density"):
         raise ValueError(f"state kind must be 'pure' or 'density', got {kind!r}")
-    names = list(payload["basis_order"])
-    oam = payload["oam_basis"]
-    if isinstance(oam, Mapping):
-        bases = {arm: OamBasis(tuple(int(l) for l in ells)) for arm, ells in oam.items()}
-    else:
-        bases = {"B": OamBasis(tuple(int(l) for l in oam))}
+    names = _document_entry(payload, "basis_order", _axis_names)
+    bases = {
+        arm: OamBasis(ells)
+        for arm, ells in _document_entry(payload, "oam_basis", _oam_charges).items()
+    }
     axes = []
     for name in names:
         axis_kind, _, arm = name.partition("_")
@@ -835,9 +860,7 @@ def state_from_dict(payload: Mapping) -> State:
         else:
             raise BasisMismatchError(f"unknown axis name {name!r}")
     space = Space(tuple(axes))
-    flat = np.array(
-        [complex(re, im) for re, im in payload["amplitudes"]], dtype=complex
-    )
+    flat = _document_entry(payload, "amplitudes", _complex_entries)
     if kind == "pure":
         return State(space, "pure", flat)
     dim = space.dim

@@ -16,6 +16,10 @@ Grids are cell centered: for ``nx`` columns over ``[-half_extent,
 half_extent]`` the sample abscissae are ``(i + 0.5 - nx/2) * dx``.  With even
 ``nx`` no sample sits exactly on the vortex core.  Mode arrays are cached per
 (charges, grid) and returned read-only; copy before mutating.
+
+Per-frame passes over a grid (Stokes synthesis, skyrmion density) walk it in
+blocks of :data:`ROW_STRIP` rows from :func:`row_strips`, so their
+temporaries stay cache-sized on large grids.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ import numpy as np
 __all__ = ["GridSpec", "lg_mode", "mode_stack", "grid_axes", "polar_coords"]
 
 _MAX_CHARGE = 256
+
+# rows per block of a per-frame pass; at 512 columns a (32, 512, 3) float
+# buffer is 384 KiB
+ROW_STRIP = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,12 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
+
+
+def row_strips(ny: int) -> list[tuple[int, int]]:
+    """``(r0, r1)`` bounds of the consecutive blocks of at most
+    :data:`ROW_STRIP` rows that cover ``ny`` rows."""
+    return [(r0, min(r0 + ROW_STRIP, ny)) for r0 in range(0, ny, ROW_STRIP)]
 
 
 @lru_cache(maxsize=64)

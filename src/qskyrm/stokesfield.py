@@ -12,7 +12,10 @@ with ``P(r) = sum_k E_k(r) E_k(r)^dag`` summed over the state's ket ensemble
 (:meth:`State.kets`), where ``E_k = (E_R, E_L)`` is the field of ket k: one
 term for a pure state, one per positive eigenvalue of a density matrix.  For
 pure states the reduced vector ``s = (S1, S2, S3)/S0`` has unit length
-wherever S0 > 0; mixed states give |s| <= 1.
+wherever S0 > 0; mixed states give |s| <= 1.  The maps are synthesized one
+ket and one block of grid rows (:func:`~qskyrm.modes.row_strips`) at a
+time, so the complex fields stay cache-sized; each cell sees the same
+arithmetic, in the same ket order, as a whole-grid synthesis.
 
 Topology routines need ``s`` defined on the whole grid, so
 :func:`normalize_stokes` fills the cells below an intensity floor (relative
@@ -30,7 +33,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .errors import EmptyFieldError, UnsupportedStateError
 from .hilbert import ProjectionAngles, State, herald_polarization
-from .modes import GridSpec, mode_stack
+from .modes import GridSpec, mode_stack, row_strips
 
 __all__ = [
     "StokesField",
@@ -146,16 +149,19 @@ def stokes_of_photon_state(state: State, grid: GridSpec) -> StokesField:
         kets = np.swapaxes(kets, 1, 2)
 
     # starts at -0.0, since -0.0 + x == x for every x, signed zeros included;
-    # one ket's field at a time: a (rank, 2, ny, nx) field stack is slower
+    # one ket's field at a time: a (rank, 2, ny, nx) field stack is slower;
+    # and that over row strips, so the (2, rows, nx) field stays cache-sized
     values = np.full((4,) + grid.shape, -0.0)
     for amp in kets:
-        u, v = np.tensordot(amp, modes, axes=(1, 0))  # (2, ny, nx)
-        pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
-        cross = 2.0 * np.conj(u) * v
-        values[0] += pu + pv
-        values[1] += cross.real
-        values[2] += cross.imag
-        values[3] += pu - pv
+        for r0, r1 in row_strips(grid.ny):
+            u, v = np.tensordot(amp, modes[:, r0:r1], axes=(1, 0))  # (2, rows, nx)
+            pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
+            cross = 2.0 * np.conj(u) * v
+            out = values[:, r0:r1]
+            out[0] += pu + pv
+            out[1] += cross.real
+            out[2] += cross.imag
+            out[3] += pu - pv
     return StokesField(grid, values)
 
 

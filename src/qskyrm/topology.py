@@ -6,12 +6,15 @@ polarization sphere; how many times the plane wraps that sphere is counted by
     n = (1/4pi) integral  s . (ds/dx x ds/dy)  dx dy
 
 evaluated here as a Riemann sum with central differences.  The integrand
-(including the 1/4pi) is the skyrmion density ``sigma``.
+(including the 1/4pi) is the skyrmion density ``sigma``, computed over
+blocks of grid rows so its temporaries stay cache-sized; the blocks give
+bit-for-bit the whole-grid sum (see :func:`skyrmion_density`).
 
 Beyond the plain number this module sweeps heralding angles over the
-projection sphere, decomposes a multi-core texture into quasiparticle
-regions, and follows those regions through a parameter sweep to extract
-their orbital and internal-rotation (spin) dynamics.
+projection sphere (rendering each distinct heralded photon once), decomposes
+a multi-core texture into quasiparticle regions, and follows those regions
+through a parameter sweep to extract their orbital and internal-rotation
+(spin) dynamics.
 
 Quasiparticle decomposition works on preimages of the polar cap rather than
 on lumps of |sigma|: each core pins the unit vector to the north pole
@@ -64,14 +67,15 @@ from .errors import (
     UnsupportedStateError,
     ZeroProbabilityError,
 )
-from .hilbert import ProjectionAngles, State
-from .modes import GridSpec, grid_axes
+from .hilbert import ProjectionAngles, State, herald_polarization
+from .modes import ROW_STRIP, GridSpec, grid_axes, row_strips
 from .stokesfield import (
     DEFAULT_INTENSITY_FLOOR,
     UnitStokesField,
     conditional_stokes,
     normalize_stokes,
     orientation_psi,
+    stokes_of_photon_state,
 )
 
 __all__ = [
@@ -244,19 +248,51 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
 
     The field must be defined (finite) on at least 95% of the grid; fields
     from :func:`~qskyrm.stokesfield.normalize_stokes` are defined everywhere.
+
+    The grid is evaluated in blocks of rows (:func:`~qskyrm.modes.row_strips`)
+    with one halo row on each side for the y derivative, so the temporaries
+    stay cache-sized.  Every cell gets the same central differences, the same
+    ``np.cross`` terms and the same ``einsum`` contraction as a whole-grid
+    evaluation, so ``sigma`` is bit-identical to it.  ``einsum`` picks the
+    order of its three-term sum from its operands' memory layout, so the
+    cross product is kept in ``np.cross``'s ``(..., 3)`` layout and ``s`` is
+    read in whatever layout it came in: a filled field from ``normalize_stokes``
+    is ``(ny, nx, 3)`` in memory, a fully resolved one is C-contiguous.
     """
     s = field.s
-    finite = np.isfinite(s).all(axis=0)
-    fraction = float(finite.mean())
-    if fraction < _MIN_FINITE_FRACTION:
-        raise InsufficientCoverageError(
-            f"unit vector defined on {fraction:.1%} of the grid, need "
-            f"{_MIN_FINITE_FRACTION:.0%}"
-        )
-    sx = np.gradient(s, field.grid.dx, axis=2)
-    sy = np.gradient(s, field.grid.dy, axis=1)
-    sigma = np.einsum("iyx,iyx->yx", s, np.cross(sx, sy, axis=0)) / (4.0 * math.pi)
-    return SkyrmionDensityField(field.grid, sigma, spin=s)
+    # a finite sum needs every entry finite; count only when it is not (a
+    # sum of finite entries can still overflow)
+    with np.errstate(over="ignore"):
+        total = float(s.sum())
+    if not math.isfinite(total):
+        fraction = float(np.isfinite(s).all(axis=0).mean())
+        if fraction < _MIN_FINITE_FRACTION:
+            raise InsufficientCoverageError(
+                f"unit vector defined on {fraction:.1%} of the grid, need "
+                f"{_MIN_FINITE_FRACTION:.0%}"
+            )
+    grid = field.grid
+    ny, nx = grid.shape
+    sigma = np.empty((ny, nx))
+    cross = np.empty((ROW_STRIP, nx, 3))
+    tmp = np.empty((ROW_STRIP, nx))
+    for r0, r1 in row_strips(ny):
+        rows = r1 - r0
+        strip = s[:, r0:r1]
+        h0 = max(r0 - 1, 0)
+        sx = np.gradient(strip, grid.dx, axis=2)
+        sy = np.gradient(s[:, h0 : min(r1 + 1, ny)], grid.dy, axis=1)[:, r0 - h0 : r1 - h0]
+        c, t = cross[:rows], tmp[:rows]
+        # np.cross(sx, sy, axis=0), term for term
+        np.multiply(sx[1], sy[2], out=c[..., 0])
+        c[..., 0] -= np.multiply(sx[2], sy[1], out=t)
+        np.multiply(sx[2], sy[0], out=c[..., 1])
+        c[..., 1] -= np.multiply(sx[0], sy[2], out=t)
+        np.multiply(sx[0], sy[1], out=c[..., 2])
+        c[..., 2] -= np.multiply(sx[1], sy[0], out=t)
+        np.einsum("iyx,iyx->yx", strip, np.moveaxis(c, -1, 0), out=sigma[r0:r1])
+    sigma /= 4.0 * math.pi
+    return SkyrmionDensityField(grid, sigma, spin=s)
 
 
 def skyrmion_number(density: SkyrmionDensityField) -> float:
@@ -286,7 +322,9 @@ def sphere_sweep(
 
     Defaults: 9 polar angles spanning [0, pi], 8 equally spaced azimuths.
     Samples whose heralding probability vanishes (or whose texture carries no
-    intensity) are flagged invalid rather than raising.
+    intensity) are flagged invalid rather than raising.  Each distinct
+    heralded photon is rendered once: samples whose conditional state has
+    the same bytes (every azimuth at theta = 0, say) share its number.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
@@ -296,15 +334,26 @@ def sphere_sweep(
         grid = GridSpec()
     n_values = np.full((len(thetas), len(alphas)), np.nan)
     valid = np.zeros((len(thetas), len(alphas)), dtype=bool)
+    # photon bytes -> its number, NaN for an empty field; exact bytes only:
+    # nearly equal photons (the theta = pi kets differ by ~1e-17) can give
+    # numbers that differ in print
+    numbers: dict[bytes, float] = {}
     for i, theta in enumerate(thetas):
         for j, alpha in enumerate(alphas):
             try:
-                field = conditional_stokes(state, ProjectionAngles(theta, alpha), grid)
-                unit = normalize_stokes(field, intensity_floor)
-            except (ZeroProbabilityError, EmptyFieldError):
+                photon, _ = herald_polarization(state, ProjectionAngles(theta, alpha))
+            except ZeroProbabilityError:
                 continue
-            n_values[i, j] = skyrmion_number(skyrmion_density(unit))
-            valid[i, j] = True
+            key = photon.data.tobytes()
+            if key not in numbers:
+                try:
+                    unit = normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)
+                except EmptyFieldError:
+                    numbers[key] = math.nan
+                else:
+                    numbers[key] = skyrmion_number(skyrmion_density(unit))
+            n_values[i, j] = numbers[key]
+            valid[i, j] = not math.isnan(numbers[key])
     return SphereMap(thetas, alphas, n_values, valid)
 
 

@@ -347,9 +347,15 @@ def without(key):
         # a NaN amplitude used to pass validation and fail later as a dark field
         (lambda doc: dict(doc, amplitudes=[[math.nan, 0.0]] + doc["amplitudes"][1:]),
          "non-finite"),
+        # entries of the wrong JSON type used to escape as a TypeError traceback
+        (lambda doc: dict(doc, amplitudes=[re for re, _ in doc["amplitudes"]]),
+         "'amplitudes'"),
+        (lambda doc: dict(doc, oam_basis=5), "'oam_basis'"),
+        (lambda doc: dict(doc, basis_order=3), "'basis_order'"),
     ],
     ids=["no-kind", "no-basis-order", "no-oam-basis", "no-amplitudes", "unknown-kind",
-         "not-an-object", "nan-amplitude"],
+         "not-an-object", "nan-amplitude", "bare-number-amplitudes", "scalar-oam-basis",
+         "scalar-basis-order"],
 )
 def test_malformed_state_file_is_numerical_failure(tmp_path, capsys, edit, message):
     state_dir = tmp_path / "s"

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from qskyrm import (
+    EmptyFieldError,
     GridSpec,
     InsufficientCoverageError,
     ProjectionAngles,
     QPlateParams,
     SkyrmionDensityField,
+    State,
     UnitStokesField,
     UnsupportedStateError,
+    ZeroProbabilityError,
     balanced_switch_state,
     build_spin_skyrmion_state,
     conditional_stokes,
@@ -23,6 +26,7 @@ from qskyrm import (
     sphere_sweep,
     track_dynamics,
 )
+from qskyrm import topology
 
 EQUATOR = ProjectionAngles(0.5 * math.pi, 0.0)
 
@@ -139,6 +143,73 @@ def test_sphere_sweep_layout(small_grid, binary_state):
 def test_sphere_sweep_rejects_empty_samples(binary_state):
     with pytest.raises(ValueError):
         sphere_sweep(binary_state, theta_samples=(), alpha_samples=(0.0,))
+
+
+def reference_sweep(state, grid):
+    """One frame per sample, as the sweep computed it before it kept one frame
+    per distinct heralded photon."""
+    thetas, alphas = topology.DEFAULT_THETA_SAMPLES, topology.DEFAULT_ALPHA_SAMPLES
+    n_values = np.full((len(thetas), len(alphas)), np.nan)
+    valid = np.zeros(n_values.shape, dtype=bool)
+    for i, theta in enumerate(thetas):
+        for j, alpha in enumerate(alphas):
+            try:
+                field = conditional_stokes(state, ProjectionAngles(theta, alpha), grid)
+                unit = normalize_stokes(field)
+            except (ZeroProbabilityError, EmptyFieldError):
+                continue
+            n_values[i, j] = skyrmion_number(skyrmion_density(unit))
+            valid[i, j] = True
+    return n_values, valid
+
+
+def right_heralded_only(state):
+    """The binary state with photon A's L branch removed: heralding on |L>
+    (theta = pi) has zero probability."""
+    psi = state.tensor().copy()
+    psi[1] = 0.0
+    return State.pure(state.space, psi, normalize=True)
+
+
+@pytest.mark.parametrize("which", ["binary", "vanishing-herald"])
+def test_sphere_sweep_matches_per_sample_frames(binary_state, which):
+    state = binary_state if which == "binary" else right_heralded_only(binary_state)
+    grid = GridSpec(nx=48, ny=40, half_extent=4.0)
+    smap = sphere_sweep(state, grid=grid)
+    n_values, valid = reference_sweep(state, grid)
+    assert smap.n_values.tobytes() == n_values.tobytes()
+    assert smap.valid.tobytes() == valid.tobytes()
+    if which == "vanishing-herald":
+        assert not smap.valid[-1].any() and np.isnan(smap.n_values[-1]).all()
+        assert smap.valid[:-1].all()
+
+
+def test_sphere_sweep_renders_each_distinct_photon_once(binary_state, monkeypatch):
+    calls = []
+    synthesize = topology.stokes_of_photon_state
+
+    def counting(photon, grid):
+        calls.append(photon.data.tobytes())
+        return synthesize(photon, grid)
+
+    monkeypatch.setattr(topology, "stokes_of_photon_state", counting)
+    smap = sphere_sweep(binary_state, grid=GridSpec(nx=32, ny=32))
+    assert smap.valid.all()
+    # every azimuth at theta = 0 heralds the same photon: 72 - 7 frames
+    assert len(calls) == 65
+    assert len(set(calls)) == 65
+
+
+def test_sphere_sweep_flags_empty_fields_invalid(binary_state, monkeypatch):
+    def empty(field, intensity_floor):
+        raise EmptyFieldError("field carries no intensity")
+
+    monkeypatch.setattr(topology, "normalize_stokes", empty)
+    smap = sphere_sweep(
+        binary_state, theta_samples=(0.0, 1.0), alpha_samples=(0.0, 2.0), grid=GridSpec(8, 8)
+    )
+    assert not smap.valid.any()
+    assert np.isnan(smap.n_values).all()
 
 
 # ---------------------------------------------------------------------------
