@@ -6,151 +6,24 @@ polarization steers the transverse polarization texture of its partner.
 `topology` integrates and segments the resulting skyrmion densities,
 `tomography` and `bell` cover state verification, and `cli` exposes the
 whole pipeline as a command-line tool.
+
+The package namespace is the union of the library modules' ``__all__``
+lists: each public name is declared once, in its own module.
 """
 
 __version__ = "0.1.0"
 
-from .bell import (
-    BellSubspace,
-    ChshResult,
-    TSIRELSON_BOUND,
-    bell_curves,
-    chsh_parameter,
-    heralded_werner_state,
-)
-from .errors import (
-    BasisMismatchError,
-    ConfigError,
-    EmptyFieldError,
-    EmptyStateError,
-    InsufficientCoverageError,
-    MissingInputError,
-    QskyrmError,
-    UnsupportedStateError,
-    ZeroProbabilityError,
-)
-from .hilbert import (
-    OamBasis,
-    ProjectionAngles,
-    QPlateParams,
-    Space,
-    SpdcSpectrum,
-    State,
-    apply_qplate,
-    balanced_switch_state,
-    build_spin_skyrmion_state,
-    extract_ghz_state,
-    extract_reference_state,
-    herald_polarization,
-    load_state,
-    polarization_ket,
-    project_oam,
-    project_oam_b,
-    restrict_oam_b,
-    save_state,
-    spdc_pair_state,
-    state_from_dict,
-    state_overlap,
-    state_to_dict,
-)
-from .modes import GridSpec, grid_axes, lg_mode, mode_stack, polar_coords
-from .stokesfield import (
-    StokesField,
-    UnitStokesField,
-    conditional_stokes,
-    normalize_stokes,
-    orientation_psi,
-    stokes_of_photon_state,
-)
-from .tomography import (
-    MeasurementRecord,
-    ProjectorSet,
-    ReconstructionResult,
-    build_projector_set,
-    fidelity,
-    forward_model,
-    purity,
-    reconstruct,
-    simulate_counts,
-)
-from .topology import (
-    DynamicsTrace,
-    QuasiparticleReport,
-    SkyrmionDensityField,
-    SphereMap,
-    locate_quasiparticles,
-    skyrmion_density,
-    skyrmion_number,
-    sphere_sweep,
-    track_dynamics,
-)
+from . import bell, errors, hilbert, modes, stokesfield, tomography, topology
+from .bell import *
+from .errors import *
+from .hilbert import *
+from .modes import *
+from .stokesfield import *
+from .tomography import *
+from .topology import *
 
-__all__ = [
-    "__version__",
-    "BasisMismatchError",
-    "BellSubspace",
-    "ChshResult",
-    "ConfigError",
-    "DynamicsTrace",
-    "EmptyFieldError",
-    "EmptyStateError",
-    "GridSpec",
-    "InsufficientCoverageError",
-    "MeasurementRecord",
-    "MissingInputError",
-    "OamBasis",
-    "ProjectionAngles",
-    "ProjectorSet",
-    "QPlateParams",
-    "QskyrmError",
-    "QuasiparticleReport",
-    "ReconstructionResult",
-    "SkyrmionDensityField",
-    "Space",
-    "SpdcSpectrum",
-    "SphereMap",
-    "State",
-    "StokesField",
-    "TSIRELSON_BOUND",
-    "UnitStokesField",
-    "UnsupportedStateError",
-    "ZeroProbabilityError",
-    "apply_qplate",
-    "balanced_switch_state",
-    "bell_curves",
-    "build_projector_set",
-    "build_spin_skyrmion_state",
-    "chsh_parameter",
-    "conditional_stokes",
-    "extract_ghz_state",
-    "extract_reference_state",
-    "fidelity",
-    "forward_model",
-    "grid_axes",
-    "herald_polarization",
-    "heralded_werner_state",
-    "lg_mode",
-    "load_state",
-    "locate_quasiparticles",
-    "mode_stack",
-    "normalize_stokes",
-    "orientation_psi",
-    "polar_coords",
-    "polarization_ket",
-    "project_oam",
-    "project_oam_b",
-    "purity",
-    "reconstruct",
-    "restrict_oam_b",
-    "save_state",
-    "simulate_counts",
-    "skyrmion_density",
-    "skyrmion_number",
-    "spdc_pair_state",
-    "sphere_sweep",
-    "state_overlap",
-    "state_to_dict",
-    "stokes_of_photon_state",
-    "state_from_dict",
-    "track_dynamics",
+__all__ = ["__version__"] + [
+    name
+    for module in (bell, errors, hilbert, modes, stokesfield, tomography, topology)
+    for name in module.__all__
 ]

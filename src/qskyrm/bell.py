@@ -34,6 +34,7 @@ __all__ = [
     "BellSubspace",
     "BellCurveSet",
     "ChshResult",
+    "TSIRELSON_BOUND",
     "bell_curves",
     "chsh_parameter",
     "heralded_werner_state",

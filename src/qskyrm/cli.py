@@ -49,6 +49,7 @@ from .hilbert import (
     build_spin_skyrmion_state,
     extract_ghz_state,
     extract_reference_state,
+    herald_polarization,
     load_state,
     save_state,
     state_to_dict,
@@ -67,7 +68,7 @@ from .topology import (
     DEFAULT_ALPHA_SAMPLES,
     DEFAULT_THETA_SAMPLES,
     locate_quasiparticles,
-    skyrmion_density,
+    photon_frame,
     skyrmion_number,
     sphere_sweep,
     track_dynamics,
@@ -147,6 +148,20 @@ def _checked(convert, ok, message: str):
     return check
 
 
+def _integer(key: str):
+    """Converter for an integer setting: bools, strings and non-integral
+    numbers are config errors that name ``key``, never truncated."""
+
+    def convert(raw) -> int:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or (
+            isinstance(raw, float) and not raw.is_integer()
+        ):
+            raise ConfigError(f"{key} must be an integer, got {raw!r}")
+        return int(raw)
+
+    return convert
+
+
 def _nullable(check):
     return lambda raw: None if raw is None else check(raw)
 
@@ -209,8 +224,9 @@ _EXTRACTS = ("none", "ghz", "reference")
 _OPTIONS = (
     _Option("output_dir", None, "--out", "output directory", field="out_dir",
             check=lambda raw: raw or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"),
-    _Option("seed", 7, "--seed", "seed for anything stochastic", int, int),
-    _Option("grid.n", 512, "--grid-n", "grid cells per side", int, int, "grid_n"),
+    _Option("seed", 7, "--seed", "seed for anything stochastic", int, _integer("seed")),
+    _Option("grid.n", 512, "--grid-n", "grid cells per side", int, _integer("grid.n"),
+            "grid_n"),
     _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)",
             float, float),
     _Option("grid.waist", 1.0, "--waist", "mode waist", float, float),
@@ -226,7 +242,7 @@ _OPTIONS = (
     _Option("state.tuning", 0.5, "--tuning", "plate tuning in [0, 1]", float,
             lambda raw: QPlateParams(1.0, float(raw)).tuning),
     _Option("state.ladder", None, "--ladder", "explicit l1,l2,l3 balanced-state charges",
-            _INTS, _nullable(_checked(lambda raw: [int(l) for l in raw],
+            _INTS, _nullable(_checked(lambda raw: [_integer("state.ladder")(l) for l in raw],
                                       lambda v: len(v) == len(set(v)) == 3,
                                       "state.ladder needs 3 distinct charges, got {}"))),
     _Option("state.extract", "none", "--extract", "post-build filter", _EXTRACTS,
@@ -245,7 +261,7 @@ _OPTIONS = (
                                       "analysis.central_radius must be positive"))),
     _Option("tomography.total_per_setting", 10000, "--total-per-setting",
             "mean counts per setting", int,
-            _nullable(_checked(int, lambda v: v >= 1,
+            _nullable(_checked(_integer("tomography.total_per_setting"), lambda v: v >= 1,
                                "tomography.total_per_setting must be >= 1"))),
     _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool, bool),
     _Option("tomography.witnesses_only", False, "--witnesses-only",
@@ -253,7 +269,7 @@ _OPTIONS = (
     _Option("tomography.target_file", None, "--target", "target state file for fidelity"),
     _Option("bell.pol_b", "R", "--pol-b", "photon-B polarization sector", ("R", "L"), str),
     _Option("bell.pair", None, "--pair", "comma-separated OAM pair for the Bell subspace",
-            _INTS, _nullable(lambda raw: tuple(int(l) for l in raw))),
+            _INTS, _nullable(lambda raw: tuple(_integer("bell.pair")(l) for l in raw))),
     _Option("bell.werner_p", None, "--werner-p", "Werner mixing weight", float,
             _nullable(_checked(float, lambda v: 0.0 <= v <= 1.0,
                                "bell.werner_p must lie in [0, 1], got {}"))),
@@ -427,13 +443,16 @@ def cmd_sphere(cfg: RunConfig) -> None:
     print("plateaus: " + (", ".join(str(p) for p in plateaus) if plateaus else "(none)"))
 
 
+def _frame(cfg: RunConfig, state: State, angles: ProjectionAngles):
+    """Unit field and density of photon B heralded at ``angles``."""
+    photon, _ = herald_polarization(state, angles)
+    return photon_frame(photon, cfg.grid, cfg.intensity_floor)
+
+
 def cmd_skyrmion_number(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
     angles = cfg.fixed_angles()
-    unit = normalize_stokes(
-        conditional_stokes(state, angles, cfg.grid), cfg.intensity_floor
-    )
-    n = skyrmion_number(skyrmion_density(unit))
+    n = skyrmion_number(_frame(cfg, state, angles)[1])
     write_json(
         _out(cfg, "skyrmion_number.json"),
         {
@@ -471,10 +490,7 @@ def cmd_stokes_field(cfg: RunConfig) -> None:
 def cmd_quasiparticles(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
     angles = cfg.fixed_angles()
-    unit = normalize_stokes(
-        conditional_stokes(state, angles, cfg.grid), cfg.intensity_floor
-    )
-    report = locate_quasiparticles(skyrmion_density(unit), cfg.central_radius)
+    report = locate_quasiparticles(_frame(cfg, state, angles)[1], cfg.central_radius)
     write_json(
         _out(cfg, "quasiparticles.json"),
         {
@@ -505,11 +521,10 @@ def cmd_quasiparticles(cfg: RunConfig) -> None:
 
 
 def _sweep_angles(cfg: RunConfig) -> list[ProjectionAngles]:
+    fixed = cfg.fixed_angles()
     if cfg.theta is not None:
-        alpha = 0.0 if cfg.alpha_fixed is None else cfg.alpha_fixed
-        return [ProjectionAngles(t, alpha) for t in cfg.theta]
-    theta = 0.5 * math.pi if cfg.theta_fixed is None else cfg.theta_fixed
-    return [ProjectionAngles(theta, a) for a in cfg.alpha]
+        return [ProjectionAngles(t, fixed.alpha) for t in cfg.theta]
+    return [ProjectionAngles(fixed.theta, a) for a in cfg.alpha]
 
 
 def cmd_dynamics(cfg: RunConfig) -> None:
@@ -542,10 +557,7 @@ def cmd_dynamics(cfg: RunConfig) -> None:
     # every frame gets a raster; the tracker drops a sample it cannot herald
     # or resolve, and computing that frame again raises the reason
     for i in sorted(set(range(len(sweep))) - rendered):
-        unit = normalize_stokes(
-            conditional_stokes(state, sweep[i], cfg.grid), cfg.intensity_floor
-        )
-        render(i, unit, skyrmion_density(unit))
+        render(i, *_frame(cfg, state, sweep[i]))
     orbits = ", ".join(f"{v:+.3f}" for v in trace.net_orbit())
     print(f"{trace.n_tracks} track(s); net orbit [{orbits}]")
 

@@ -87,7 +87,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write("\n")
 
 
-def write_pgm(path, array: np.ndarray, sidecar: bool = True) -> None:
+def write_pgm(path, array: np.ndarray) -> None:
     """16-bit P5 graymap scaled to (min, max); the sidecar records the scale."""
     arr = np.asarray(array, dtype=float)
     if arr.ndim != 2:
@@ -104,18 +104,17 @@ def write_pgm(path, array: np.ndarray, sidecar: bool = True) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
         fh.write(pixels.tobytes())
-    if sidecar:
-        write_json(
-            os.fspath(path) + ".json",
-            {
-                "min": lo,
-                "max": hi,
-                "width": width,
-                "height": height,
-                "maxval": 65535,
-                "byte_order": "big-endian",
-            },
-        )
+    write_json(
+        os.fspath(path) + ".json",
+        {
+            "min": lo,
+            "max": hi,
+            "width": width,
+            "height": height,
+            "maxval": 65535,
+            "byte_order": "big-endian",
+        },
+    )
 
 
 # -- tabular views of the domain types --------------------------------------

@@ -558,7 +558,7 @@ def build_spin_skyrmion_state(
             if cand not in ladder:
                 ladder.append(cand)
     ladder.sort(reverse=shift > 0)
-    out = _reorder_oam(out, "B", prune=True, order=ladder)
+    out = _reorder_oam(out, "B", order=ladder)
     return out
 
 
@@ -579,25 +579,20 @@ def balanced_switch_state(ells: Sequence[int]) -> State:
     return State(space, "pure", psi.reshape(-1))
 
 
-def _reorder_oam(state: State, arm: str, order: Sequence[int], prune: bool) -> State:
-    """Reindex an OAM axis to the given charge order, optionally dropping
-    charges with zero occupancy (pure states only)."""
+def _reorder_oam(state: State, arm: str, order: Sequence[int]) -> State:
+    """Reindex a pure state's OAM axis to the given charge order, dropping
+    charges with zero occupancy."""
     io = state.space.axis_position(f"oam_{arm}")
     basis = state.space.axes[io].basis
-    if state.is_pure:
-        psi = np.moveaxis(state.tensor(), io, 0)
-        occupancy = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
-        charges = [l for l in order if l in basis.ells]
-        if prune:
-            charges = [l for l in charges if occupancy[basis.index(l)] > 0.0]
-        for l in basis.ells:  # anything not mentioned in `order` goes last
-            if l not in charges and (not prune or occupancy[basis.index(l)] > 0.0):
-                charges.append(l)
-        idx = [basis.index(l) for l in charges]
-        out = np.moveaxis(psi[idx], 0, io)
-        space = state.space.replace_basis(arm, OamBasis(tuple(charges)))
-        return State(space, "pure", out.reshape(-1))
-    raise UnsupportedStateError("basis reordering is implemented for pure states")
+    psi = np.moveaxis(state.tensor(), io, 0)
+    occupancy = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+    # anything not mentioned in `order` goes last
+    ranked = [l for l in order if l in basis.ells] + [l for l in basis.ells if l not in order]
+    charges = [l for l in ranked if occupancy[basis.index(l)] > 0.0]
+    idx = [basis.index(l) for l in charges]
+    out = np.moveaxis(psi[idx], 0, io)
+    space = state.space.replace_basis(arm, OamBasis(tuple(charges)))
+    return State(space, "pure", out.reshape(-1))
 
 
 def _from_kets(space: Space, kets: np.ndarray, pure: bool) -> State:

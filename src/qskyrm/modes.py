@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["GridSpec", "lg_mode", "mode_stack", "grid_axes", "polar_coords"]
+__all__ = ["GridSpec", "lg_mode", "mode_stack", "grid_axes", "polar_coords", "row_strips"]
 
 _MAX_CHARGE = 256
 

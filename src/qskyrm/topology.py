@@ -10,7 +10,9 @@ evaluated here as a Riemann sum with central differences.  The integrand
 blocks of grid rows so its temporaries stay cache-sized; the blocks give
 bit-for-bit the whole-grid sum (see :func:`skyrmion_density`).
 
-Beyond the plain number this module sweeps heralding angles over the
+Every frame of a heralded photon, wherever it is used, comes from one
+function, :func:`photon_frame`: Stokes synthesis, normalize/fill, skyrmion
+density.  On top of it this module sweeps heralding angles over the
 projection sphere (rendering each distinct heralded photon once), decomposes
 a multi-core texture into quasiparticle regions, and follows those regions
 through a parameter sweep to extract their orbital and internal-rotation
@@ -72,7 +74,6 @@ from .modes import ROW_STRIP, GridSpec, grid_axes, row_strips
 from .stokesfield import (
     DEFAULT_INTENSITY_FLOOR,
     UnitStokesField,
-    conditional_stokes,
     normalize_stokes,
     orientation_psi,
     stokes_of_photon_state,
@@ -84,6 +85,7 @@ __all__ = [
     "QuasiparticleRegion",
     "QuasiparticleReport",
     "DynamicsTrace",
+    "photon_frame",
     "skyrmion_density",
     "skyrmion_number",
     "sphere_sweep",
@@ -311,6 +313,15 @@ def skyrmion_number(density: SkyrmionDensityField) -> float:
     return total * density.grid.cell_area
 
 
+def photon_frame(
+    photon: State, grid: GridSpec, intensity_floor: float
+) -> tuple[UnitStokesField, SkyrmionDensityField]:
+    """Unit Stokes field and skyrmion density of a single-photon state:
+    Stokes synthesis, normalize/fill, density."""
+    unit = normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)
+    return unit, skyrmion_density(unit)
+
+
 def sphere_sweep(
     state: State,
     theta_samples: Sequence[float] | None = None,
@@ -347,11 +358,11 @@ def sphere_sweep(
             key = photon.data.tobytes()
             if key not in numbers:
                 try:
-                    unit = normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)
+                    _, density = photon_frame(photon, grid, intensity_floor)
                 except EmptyFieldError:
                     numbers[key] = math.nan
                 else:
-                    numbers[key] = skyrmion_number(skyrmion_density(unit))
+                    numbers[key] = skyrmion_number(density)
             n_values[i, j] = numbers[key]
             valid[i, j] = not math.isnan(numbers[key])
     return SphereMap(thetas, alphas, n_values, valid)
@@ -513,16 +524,13 @@ def track_dynamics(
         grid = GridSpec()
 
     per_sample: list[list[dict]] = []
-    counts: list[int] = []
     for i_sample, angles in enumerate(sweep):
         try:
-            field = conditional_stokes(state, angles, grid)
-            unit = normalize_stokes(field, intensity_floor)
+            photon, _ = herald_polarization(state, angles)
+            unit, density = photon_frame(photon, grid, intensity_floor)
         except (ZeroProbabilityError, EmptyFieldError):
             per_sample.append([])
-            counts.append(0)
             continue
-        density = skyrmion_density(unit)
         if on_frame is not None:
             on_frame(i_sample, unit, density)
         report = locate_quasiparticles(density, central_radius)
@@ -537,7 +545,6 @@ def track_dynamics(
                 }
             )
         per_sample.append(entries)
-        counts.append(len(entries))
 
     tracks: list[dict] = []
     ambiguous: list[bool] = []
@@ -636,6 +643,6 @@ def track_dynamics(
         radii,
         orbit,
         spin,
-        tuple(counts),
+        tuple(len(entries) for entries in per_sample),
         tuple(ambiguous),
     )

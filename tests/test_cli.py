@@ -84,6 +84,37 @@ def test_invalid_ladder_rejected(tmp_path, capsys):
     assert "ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"state": {"ladder": [0, -3.5, -6]}}, "state.ladder"),
+        ({"bell": {"pair": [0, -2.7]}}, "bell.pair"),
+        ({"grid": {"n": 64.9}}, "grid.n"),
+        ({"grid": {"n": "64"}}, "grid.n"),
+        ({"seed": 7.5}, "seed"),
+        ({"tomography": {"total_per_setting": 99.9}}, "tomography.total_per_setting"),
+        ({"seed": True}, "seed"),
+        ({"tomography": {"total_per_setting": True}}, "tomography.total_per_setting"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_integer_settings_reject_non_integers(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["build-state", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_settings_are_integers(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"n": 64.0}, "tomography": {"total_per_setting": 1e4}}))
+    resolved = resolve_config(_build_parser().parse_args(["tomography", "--config", str(cfg)]))
+    assert resolved.grid.nx == 64 and type(resolved.grid.nx) is int
+    assert resolved.total_per_setting == 10000 and type(resolved.total_per_setting) is int
+
+
 def test_bad_pair_is_numerical_failure(tmp_path):
     # charge -5 is absent from the built basis; caught during execution
     code = main(["bell", "--out", str(tmp_path), "--pair", "0,-5"])
