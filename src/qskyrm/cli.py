@@ -65,8 +65,6 @@ from .tomography import (
     simulate_counts,
 )
 from .topology import (
-    DEFAULT_ALPHA_SAMPLES,
-    DEFAULT_THETA_SAMPLES,
     locate_quasiparticles,
     photon_frame,
     skyrmion_number,
@@ -162,6 +160,29 @@ def _integer(key: str):
     return convert
 
 
+def _real(key: str):
+    """Converter for a real setting: an int or a float, as a float; bools,
+    strings and null are config errors that name ``key``."""
+
+    def convert(raw) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {raw!r}")
+        return float(raw)
+
+    return convert
+
+
+def _switch(key: str):
+    """Converter for an on/off setting: only JSON true or false."""
+
+    def convert(raw) -> bool:
+        if not isinstance(raw, bool):
+            raise ConfigError(f"{key} must be true or false, got {raw!r}")
+        return raw
+
+    return convert
+
+
 def _nullable(check):
     return lambda raw: None if raw is None else check(raw)
 
@@ -175,26 +196,37 @@ def _snap_angle(value: float, hi: float) -> float:
     return value
 
 
-def _theta(raw) -> float:
-    return ProjectionAngles(_snap_angle(float(raw), math.pi)).theta
+def _theta(key: str):
+    real = _real(key)
+    return lambda raw: ProjectionAngles(_snap_angle(real(raw), math.pi)).theta
 
 
-def _alpha(raw) -> float:
-    return ProjectionAngles(0.0, _snap_angle(float(raw), 2.0 * math.pi)).alpha
+def _alpha(key: str):
+    real = _real(key)
+    return lambda raw: ProjectionAngles(0.0, _snap_angle(real(raw), 2.0 * math.pi)).alpha
+
+
+def _each(convert):
+    return lambda raw: [convert(item) for item in raw]
+
+
+def _is_charge(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
 
 
 def _parse_projection(raw) -> list:
-    if isinstance(raw, int):
+    if _is_charge(raw):
         return [raw]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"state.ell_a must be a charge or a nonempty list, got {raw!r}")
+    amplitude = _real("state.ell_a amplitude")
     entries = []
     for item in raw:
-        if isinstance(item, int):
+        if _is_charge(item):
             entries.append(item)
-        elif isinstance(item, list) and len(item) in (2, 3) and isinstance(item[0], int):
-            amp = complex(item[1], item[2] if len(item) == 3 else 0.0)
-            entries.append((item[0], amp))
+        elif isinstance(item, list) and len(item) in (2, 3) and _is_charge(item[0]):
+            parts = [amplitude(part) for part in item[1:]]
+            entries.append((item[0], complex(*parts)))
         else:
             raise ConfigError(
                 f"state.ell_a entries must be charges or [charge, re(, im)], got {item!r}"
@@ -228,19 +260,19 @@ _OPTIONS = (
     _Option("grid.n", 512, "--grid-n", "grid cells per side", int, _integer("grid.n"),
             "grid_n"),
     _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)",
-            float, float),
-    _Option("grid.waist", 1.0, "--waist", "mode waist", float, float),
+            float, _real("grid.half_extent")),
+    _Option("grid.waist", 1.0, "--waist", "mode waist", float, _real("grid.waist")),
     _Option("analysis.intensity_floor", 1e-6, "--floor", "relative intensity floor", float,
-            _checked(float, lambda v: 0.0 < v <= 1.0,
+            _checked(_real("analysis.intensity_floor"), lambda v: 0.0 < v <= 1.0,
                      "analysis.intensity_floor must lie in (0, 1], got {}")),
     _Option("state.file", None, "--state", "input state file (overrides built state)",
             field="state_file"),
     _Option("state.ell_a", [0], "--ell-a", "comma-separated arm-A projection charges",
             _INTS, _parse_projection),
     _Option("state.q", 1.0, "--q", "plate charge q (2q integer)", float,
-            lambda raw: QPlateParams(float(raw)).q),
+            lambda raw: QPlateParams(_real("state.q")(raw)).q),
     _Option("state.tuning", 0.5, "--tuning", "plate tuning in [0, 1]", float,
-            lambda raw: QPlateParams(1.0, float(raw)).tuning),
+            lambda raw: QPlateParams(1.0, _real("state.tuning")(raw)).tuning),
     _Option("state.ladder", None, "--ladder", "explicit l1,l2,l3 balanced-state charges",
             _INTS, _nullable(_checked(lambda raw: [_integer("state.ladder")(l) for l in raw],
                                       lambda v: len(v) == len(set(v)) == 3,
@@ -249,29 +281,31 @@ _OPTIONS = (
             _checked(lambda raw: raw, lambda v: v in _EXTRACTS,
                      "state.extract must be none|ghz|reference, got {!r}")),
     _Option("sweep.theta", None, "--theta", "comma-separated polar heralding angles",
-            _FLOATS, _nullable(lambda raw: [_theta(t) for t in raw])),
+            _FLOATS, _nullable(_each(_theta("sweep.theta")))),
     _Option("sweep.alpha", None, "--alpha", "comma-separated azimuthal heralding angles",
-            _FLOATS, _nullable(lambda raw: [_alpha(a) for a in raw])),
+            _FLOATS, _nullable(_each(_alpha("sweep.alpha")))),
     _Option("sweep.theta_fixed", None, "--theta-fixed", "fixed polar angle", float,
-            _nullable(_theta)),
+            _nullable(_theta("sweep.theta_fixed"))),
     _Option("sweep.alpha_fixed", None, "--alpha-fixed", "fixed azimuthal angle", float,
-            _nullable(_alpha)),
+            _nullable(_alpha("sweep.alpha_fixed"))),
     _Option("analysis.central_radius", None, "--central-radius", "central-region radius",
-            float, _nullable(_checked(float, lambda v: v > 0.0,
+            float, _nullable(_checked(_real("analysis.central_radius"), lambda v: v > 0.0,
                                       "analysis.central_radius must be positive"))),
     _Option("tomography.total_per_setting", 10000, "--total-per-setting",
             "mean counts per setting", int,
             _nullable(_checked(_integer("tomography.total_per_setting"), lambda v: v >= 1,
                                "tomography.total_per_setting must be >= 1"))),
-    _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool, bool),
+    _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool,
+            _switch("tomography.noiseless")),
     _Option("tomography.witnesses_only", False, "--witnesses-only",
-            "only evaluate witnesses on --state", bool, bool),
+            "only evaluate witnesses on --state", bool,
+            _switch("tomography.witnesses_only")),
     _Option("tomography.target_file", None, "--target", "target state file for fidelity"),
     _Option("bell.pol_b", "R", "--pol-b", "photon-B polarization sector", ("R", "L"), str),
     _Option("bell.pair", None, "--pair", "comma-separated OAM pair for the Bell subspace",
             _INTS, _nullable(lambda raw: tuple(_integer("bell.pair")(l) for l in raw))),
     _Option("bell.werner_p", None, "--werner-p", "Werner mixing weight", float,
-            _nullable(_checked(float, lambda v: 0.0 <= v <= 1.0,
+            _nullable(_checked(_real("bell.werner_p"), lambda v: 0.0 <= v <= 1.0,
                                "bell.werner_p must lie in [0, 1], got {}"))),
 )
 
@@ -419,13 +453,7 @@ def _plateaus(sphere_map) -> list[int]:
 
 def cmd_sphere(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
-    smap = sphere_sweep(
-        state,
-        cfg.theta if cfg.theta is not None else DEFAULT_THETA_SAMPLES,
-        cfg.alpha if cfg.alpha is not None else DEFAULT_ALPHA_SAMPLES,
-        cfg.grid,
-        cfg.intensity_floor,
-    )
+    smap = sphere_sweep(state, cfg.theta, cfg.alpha, cfg.grid, cfg.intensity_floor)
     header, rows = sphere_rows(smap)
     write_csv(_out(cfg, "sphere.csv"), header, rows)
     plateaus = _plateaus(smap)

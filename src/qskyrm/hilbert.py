@@ -410,6 +410,27 @@ class SpdcSpectrum:
 # ---------------------------------------------------------------------------
 
 
+def _union(ells: Iterable[int], more: Iterable[int]) -> tuple[int, ...]:
+    """``ells`` then ``more``, each charge once, in order of first appearance."""
+    return tuple(dict.fromkeys((*ells, *more)))
+
+
+def _occupancy(psi: np.ndarray, axis: int) -> np.ndarray:
+    """Squared norm of each slice of ``psi`` along ``axis``."""
+    return np.sum(np.abs(psi) ** 2, axis=tuple(i for i in range(psi.ndim) if i != axis))
+
+
+def _on_charges(psi: np.ndarray, axis: int, basis: OamBasis, ells: Sequence[int]):
+    """``psi`` with its OAM ``axis`` (over ``basis``) re-expressed over ``ells``:
+    listed charges keep their slice, new ones are zero, the rest are dropped."""
+    where = {l: i for i, l in enumerate(basis.ells)}
+    hit = [k for k, l in enumerate(ells) if l in where]
+    out = np.zeros(psi.shape[:axis] + (len(ells),) + psi.shape[axis + 1:], dtype=complex)
+    lead = (slice(None),) * axis
+    out[lead + (hit,)] = psi[lead + ([where[ells[k]] for k in hit],)]
+    return out
+
+
 def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
     """Apply a geometric-phase plate to the named arm of a pure state.
 
@@ -437,14 +458,8 @@ def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
     keep = math.sqrt(1.0 - params.tuning)
     move = math.sqrt(params.tuning)
 
-    extended = list(basis.ells)
-    for l in basis.ells:
-        if l - shift not in extended:
-            extended.append(l - shift)
-    for l in basis.ells:
-        if l + shift not in extended:
-            extended.append(l + shift)
-    wide = OamBasis(tuple(extended))
+    shifted = [l - shift for l in basis.ells] + [l + shift for l in basis.ells]
+    wide = OamBasis(_union(basis.ells, shifted))
 
     psi = np.moveaxis(state.tensor(), (ip, io), (0, 1))
     rest = psi.shape[2:]
@@ -456,16 +471,9 @@ def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
         out[0, wide.index(l + shift)] += move * psi[1, k]
 
     # drop added charges that stayed empty; original charges are kept
-    occupancy = np.sum(np.abs(out) ** 2, axis=tuple(i for i in range(out.ndim) if i != 1))
-    kept = [
-        i
-        for i, l in enumerate(wide.ells)
-        if l in basis.ells or occupancy[i] > 0.0
-    ]
-    final = OamBasis(tuple(wide.ells[i] for i in kept))
-    out = out[:, kept]
-
-    out = np.moveaxis(out, (0, 1), (ip, io))
+    occupied = [l for l, occ in zip(wide.ells, _occupancy(out, 1)) if occ > 0.0]
+    final = OamBasis(_union(basis.ells, occupied))
+    out = np.moveaxis(_on_charges(out, 1, wide, final.ells), (0, 1), (ip, io))
     space = state.space.replace_basis(arm, final)
     return State(space, "pure", out.reshape(-1))
 
@@ -511,13 +519,11 @@ def _normalize_projection(ell_a) -> list[tuple[int, complex]]:
     return [(l, a / nrm) for l, a in entries]
 
 
-def build_spin_skyrmion_state(
-    ell_a,
-    params: QPlateParams,
-    spectrum: SpdcSpectrum | None = None,
-) -> State:
+def build_spin_skyrmion_state(ell_a, params: QPlateParams) -> State:
     """Tripartite state from the pair source, two plates, and an arm-A OAM filter.
 
+    The pair source has a flat spectrum over the arm-A charges l and l + 2q
+    of each filter charge l.
     ``ell_a`` selects the spatial projection on photon A: a single charge, a
     mapping ``{charge: amplitude}``, or a sequence of charges/(charge,
     amplitude) pairs (amplitudes are normalized).  For a single charge l the
@@ -529,37 +535,15 @@ def build_spin_skyrmion_state(
     if shift == 0:
         raise ValueError("plate charge q must be non-zero to build a ladder")
 
-    needed: list[int] = []
-    for l, _ in proj:
-        for cand in (l, l + shift):
-            if cand not in needed:
-                needed.append(cand)
-    if spectrum is None:
-        spectrum = SpdcSpectrum.flat(tuple(needed))
-    for l, _ in proj:
-        if spectrum.amplitude(l) == 0.0 and spectrum.amplitude(l + shift) == 0.0:
-            raise EmptyStateError(
-                f"projection charge {l} has zero source weight on both ladder rungs"
-            )
-
-    pair = spdc_pair_state(tuple(needed), spectrum)
+    pair = spdc_pair_state(_union((), (c for l, _ in proj for c in (l, l + shift))))
     pair = apply_qplate(pair, "A", params)
     pair = apply_qplate(pair, "B", params)
-    out, prob = project_oam(pair, "A", proj, keep_axis=False)
-    if prob < _PROB_FLOOR:
-        raise EmptyStateError("arm-A projection annihilated the state")
+    out, _ = project_oam(pair, "A", proj, keep_axis=False)
 
     # canonical tripartite ordering: ladders from each projection charge,
     # deduplicated, descending for positive q (ascending for negative)
-    ladder: list[int] = []
-    for l, _ in proj:
-        for k in range(3):
-            cand = -l - k * shift
-            if cand not in ladder:
-                ladder.append(cand)
-    ladder.sort(reverse=shift > 0)
-    out = _reorder_oam(out, "B", order=ladder)
-    return out
+    ladder = _union((), (-l - k * shift for l, _ in proj for k in range(3)))
+    return _reorder_oam(out, "B", order=sorted(ladder, reverse=shift > 0))
 
 
 def balanced_switch_state(ells: Sequence[int]) -> State:
@@ -584,15 +568,13 @@ def _reorder_oam(state: State, arm: str, order: Sequence[int]) -> State:
     charges with zero occupancy."""
     io = state.space.axis_position(f"oam_{arm}")
     basis = state.space.axes[io].basis
-    psi = np.moveaxis(state.tensor(), io, 0)
-    occupancy = np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim)))
+    psi = state.tensor()
+    occupancy = _occupancy(psi, io)
     # anything not mentioned in `order` goes last
-    ranked = [l for l in order if l in basis.ells] + [l for l in basis.ells if l not in order]
-    charges = [l for l in ranked if occupancy[basis.index(l)] > 0.0]
-    idx = [basis.index(l) for l in charges]
-    out = np.moveaxis(psi[idx], 0, io)
-    space = state.space.replace_basis(arm, OamBasis(tuple(charges)))
-    return State(space, "pure", out.reshape(-1))
+    ranked = _union([l for l in order if l in basis], basis.ells)
+    charges = tuple(l for l in ranked if occupancy[basis.index(l)] > 0.0)
+    space = state.space.replace_basis(arm, OamBasis(charges))
+    return State(space, "pure", _on_charges(psi, io, basis, charges).reshape(-1))
 
 
 def _from_kets(space: Space, kets: np.ndarray, pure: bool) -> State:
@@ -670,14 +652,9 @@ def project_oam(
         # overlap's axes follow the remaining order, which matches `space`
         space = state.space.drop_axis(f"oam_{arm}")
         return _from_kets(space, overlap / math.sqrt(prob), state.is_pure), prob
-    wide_ells = list(basis.ells)
-    for l, _ in entries:
-        if l not in wide_ells:
-            wide_ells.append(l)
-    wide = OamBasis(tuple(wide_ells))
-    chi_full = np.zeros(wide.dim, dtype=complex)
-    for l, a in entries:
-        chi_full[wide.index(l)] = a
+    wide = OamBasis(_union(basis.ells, (l for l, _ in entries)))
+    amps = dict(entries)
+    chi_full = np.array([amps.get(l, 0.0) for l in wide.ells], dtype=complex)
     out = np.multiply.outer(chi_full, overlap / math.sqrt(prob))
     out = np.moveaxis(out, 0, io + 1)
     space = state.space.replace_basis(arm, wide)
@@ -710,54 +687,31 @@ def restrict_oam_b(state: State, ells: Sequence[int]) -> State:
     return _from_kets(state.space, np.moveaxis(kets, 0, io + 1) / nrm, state.is_pure)
 
 
-def extract_ghz_state(state: State, ells: Sequence[int] | None = None) -> State:
-    """Constrain photon B's OAM to the outer ladder charges.
+def _ladder(state: State) -> tuple[int, ...]:
+    ells = state.space.oam_basis("B").ells
+    if len(ells) != 3:
+        raise BasisMismatchError(f"extraction expects a three-charge ladder, got {ells}")
+    return ells
 
-    For the canonical three-charge ladder this turns the balanced state into
-    (|R,R,l1> + |L,L,l3>)/sqrt(2), the three-way entangled form.  ``ells``
-    overrides the default (first, last) pair of the basis.
+
+def extract_ghz_state(state: State) -> State:
+    """Constrain photon B's OAM to the outer charges of its three-charge ladder.
+
+    This turns the balanced state into (|R,R,l1> + |L,L,l3>)/sqrt(2), the
+    three-way entangled form.
     """
-    basis = state.space.oam_basis("B")
-    if ells is None:
-        if basis.dim != 3:
-            raise BasisMismatchError(
-                "default extraction expects a three-charge ladder; pass ells explicitly"
-            )
-        ells = (basis.ells[0], basis.ells[2])
-    return restrict_oam_b(state, tuple(ells))
+    l1, _, l3 = _ladder(state)
+    return restrict_oam_b(state, (l1, l3))
 
 
-def extract_reference_state(state: State, ell: int | None = None) -> State:
-    """Filter photon B's OAM onto the shared middle charge of the ladder."""
-    basis = state.space.oam_basis("B")
-    if ell is None:
-        if basis.dim != 3:
-            raise BasisMismatchError(
-                "default extraction expects a three-charge ladder; pass ell explicitly"
-            )
-        ell = basis.ells[1]
-    return project_oam_b(state, {int(ell): 1.0})
+def extract_reference_state(state: State) -> State:
+    """Filter photon B's OAM onto the middle charge of its three-charge ladder."""
+    return project_oam_b(state, {_ladder(state)[1]: 1.0})
 
 
 # ---------------------------------------------------------------------------
 # overlaps and serialization
 # ---------------------------------------------------------------------------
-
-
-def _embed_pure(state: State, bases: dict[str, OamBasis]) -> np.ndarray:
-    """Amplitude tensor of a pure state embedded into larger OAM bases."""
-    psi = state.tensor()
-    for name, big in bases.items():
-        io = state.space.axis_position(name)
-        small = state.space.axes[io].basis
-        moved = np.moveaxis(psi, io, 0)
-        out = np.zeros((big.dim,) + moved.shape[1:], dtype=complex)
-        for k, l in enumerate(small.ells):
-            out[big.index(l)] = moved[k]
-        psi = np.moveaxis(out, 0, io)
-        # axis dims changed; later positions are unaffected because moveaxis
-        # restored the original ordering
-    return psi
 
 
 def state_overlap(a: State, b: State) -> complex:
@@ -771,17 +725,12 @@ def state_overlap(a: State, b: State) -> complex:
     names_b = tuple(ax.name for ax in b.space.axes)
     if names_a != names_b:
         raise BasisMismatchError(f"axis layouts differ: {names_a} vs {names_b}")
-    merged: dict[str, OamBasis] = {}
-    for ax in a.space.axes:
-        if ax.kind != "oam":
-            continue
-        ells = list(ax.basis.ells)
-        for l in b.space.axis(ax.name).basis.ells:
-            if l not in ells:
-                ells.append(l)
-        merged[ax.name] = OamBasis(tuple(ells))
-    ta = _embed_pure(a, merged)
-    tb = _embed_pure(b, merged)
+    ta, tb = a.tensor(), b.tensor()
+    for i, (ax_a, ax_b) in enumerate(zip(a.space.axes, b.space.axes)):
+        if ax_a.kind == "oam":
+            ells = _union(ax_a.basis.ells, ax_b.basis.ells)
+            ta = _on_charges(ta, i, ax_a.basis, ells)
+            tb = _on_charges(tb, i, ax_b.basis, ells)
     return complex(np.vdot(ta, tb))
 
 

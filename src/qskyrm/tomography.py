@@ -75,6 +75,8 @@ _SHOT_NOISE_FTOL = 2e-7
 # noiseless records bottom out near 1e-12, so their test sits near machine
 # precision; L-BFGS-B's default relative-decrease test would quit too early
 _NOISELESS_FTOL = 1e-15
+# every fit also stops once the projected gradient falls below this
+_GRADIENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,9 @@ class ReconstructionResult:
     ``fidelity_vs_target`` is None when no target was supplied.
     ``termination`` names the test that ended the fit: ``"ftol"`` (objective
     decrease below the stopping tolerance), ``"gtol"`` (projected gradient
-    below ``gradient_tol``), ``"iteration_cap"`` (``max_iterations`` or its
-    evaluation budget ran out) or ``"abnormal"`` (the line search failed).
+    below the fixed ``_GRADIENT_TOL`` = 1e-8), ``"iteration_cap"``
+    (``max_iterations`` or its evaluation budget ran out) or ``"abnormal"``
+    (the line search failed).
     ``converged`` is true exactly for ``"ftol"`` and ``"gtol"``.
     """
 
@@ -202,53 +205,30 @@ def build_projector_set(d_sp: int) -> ProjectorSet:
     n_spatial = len(labels)
 
     # complete spatial sub-bases: the kets, and per pair the two orthogonal
-    # superposition pairs each completed by the leftover kets
-    spatial_sets: list[tuple[int, ...]] = [tuple(range(d_sp))]
-    spatial_owner = {i: 0 for i in range(d_sp)}
+    # superposition pairs, (0, 180) and (90, 270), each completed by the
+    # leftover kets
+    spatial_sets = [tuple(range(d_sp))]
     for p_idx, (i, j) in enumerate(pairs):
         base = d_sp + 4 * p_idx
         rest = tuple(k for k in range(d_sp) if k not in (i, j))
-        for cls, (f1, f2) in enumerate(((0, 2), (1, 3))):  # (0,180), (90,270)
-            set_idx = len(spatial_sets)
-            members = (base + f1, base + f2) + rest
-            spatial_sets.append(members)
-            spatial_owner[base + f1] = set_idx
-            spatial_owner[base + f2] = set_idx
+        spatial_sets += [(base, base + 2) + rest, (base + 1, base + 3) + rest]
 
-    setting_labels: list[tuple[str, str, str]] = []
-    for ia in range(6):
-        for ib in range(6):
-            for s in range(n_spatial):
-                setting_labels.append((POL_LABELS[ia], POL_LABELS[ib], spatial_labels[s]))
-
-    def flat(ia: int, ib: int, s: int) -> int:
-        return (ia * 6 + ib) * n_spatial + s
-
-    groups: list[tuple[int, ...]] = []
-    group_id: dict[tuple[int, int, int], int] = {}
-    for pa_idx, pa in enumerate(_POL_PAIRS):
-        for pb_idx, pb in enumerate(_POL_PAIRS):
-            for s_idx, s_set in enumerate(spatial_sets):
-                members = tuple(
-                    flat(ia, ib, s) for ia in pa for ib in pb for s in s_set
-                )
-                group_id[(pa_idx, pb_idx, s_idx)] = len(groups)
-                groups.append(members)
-
-    pol_pair_of = {}
-    for p_idx, pair in enumerate(_POL_PAIRS):
-        for member in pair:
-            pol_pair_of[member] = p_idx
-    owner = np.zeros(len(setting_labels), dtype=int)
-    for ia in range(6):
-        for ib in range(6):
-            for s in range(n_spatial):
-                key = (pol_pair_of[ia], pol_pair_of[ib], spatial_owner[s])
-                owner[flat(ia, ib, s)] = group_id[key]
-
-    return ProjectorSet(
-        d_sp, spatial_kets, spatial_labels, tuple(setting_labels), tuple(groups), owner
+    setting_labels = tuple(
+        (pa, pb, s) for pa in POL_LABELS for pb in POL_LABELS for s in spatial_labels
     )
+    groups = tuple(
+        tuple((ia * 6 + ib) * n_spatial + s for ia in pa for ib in pb for s in s_set)
+        for pa in _POL_PAIRS
+        for pb in _POL_PAIRS
+        for s_set in spatial_sets
+    )
+    # a ket setting also completes superposition groups; the first group that
+    # holds it, its ket group, owns it
+    owner = np.zeros(len(setting_labels), dtype=int)
+    for g in reversed(range(len(groups))):
+        owner[list(groups[g])] = g
+
+    return ProjectorSet(d_sp, spatial_kets, spatial_labels, setting_labels, groups, owner)
 
 
 def _density_matrix(state: State) -> np.ndarray:
@@ -356,14 +336,15 @@ def reconstruct(
     init_seed: int = 0,
     target: State | None = None,
     max_iterations: int = 5000,
-    gradient_tol: float = 1e-8,
 ) -> ReconstructionResult:
     """Least-squares density-matrix fit with guaranteed physicality.
 
     Deterministic for a given ``init_seed``, which only sets the small random
     perturbation of the initial (maximally mixed) iterate that breaks its
     gradient symmetry.  Count records stop at the shot-noise rule of the
-    module docstring; ``max_iterations`` is a safety cap.
+    module docstring, and every fit stops once the projected gradient falls
+    below the fixed ``_GRADIENT_TOL`` = 1e-8; ``max_iterations`` is a safety
+    cap.
     """
     if len(record) != len(pset):
         raise BasisMismatchError(
@@ -396,7 +377,7 @@ def reconstruct(
         bounds=bounds,
         options={
             "maxiter": max_iterations,
-            "gtol": gradient_tol,
+            "gtol": _GRADIENT_TOL,
             "ftol": ftol,
             "maxfun": 10 * max_iterations,
         },

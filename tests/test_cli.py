@@ -107,6 +107,31 @@ def test_integer_settings_reject_non_integers(tmp_path, capsys, doc, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"grid": {"half_extent": "4"}}, "grid.half_extent"),
+        ({"state": {"q": True}}, "state.q"),
+        ({"state": {"tuning": False}}, "state.tuning"),
+        ({"bell": {"werner_p": "0.5"}}, "bell.werner_p"),
+        ({"sweep": {"theta_fixed": "1.0"}}, "sweep.theta_fixed"),
+        ({"analysis": {"intensity_floor": "1e-6"}}, "analysis.intensity_floor"),
+        ({"state": {"ell_a": [True]}}, "state.ell_a"),
+        ({"tomography": {"noiseless": "no"}}, "tomography.noiseless"),
+        ({"tomography": {"witnesses_only": 1}}, "tomography.witnesses_only"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_settings_reject_values_of_the_wrong_json_type(tmp_path, capsys, doc, key):
+    # each of these used to be coerced: "4" to 4.0, true to 1.0, "no" to True
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["build-state", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_integral_float_settings_are_integers(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid": {"n": 64.0}, "tomography": {"total_per_setting": 1e4}}))
