@@ -464,6 +464,9 @@ def cmd_sphere(cfg: RunConfig) -> None:
             "alpha_samples": smap.alpha_samples,
             "n_values": smap.n_values,
             "valid": smap.valid,
+            "method": smap.method,
+            "outer_radius": smap.outer_radius,
+            "core_scale": smap.core_scale,
             "plateaus": plateaus,
             "meta": cfg.meta(),
         },

@@ -69,6 +69,8 @@ def write_json(path, obj) -> None:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -121,12 +123,20 @@ def write_pgm(path, array: np.ndarray) -> None:
 
 
 def sphere_rows(sphere_map) -> tuple[list[str], list[list]]:
-    header = ["theta", "alpha", "n", "valid"]
+    header = ["theta", "alpha", "n", "valid", "method", "outer_radius", "core_scale"]
     rows = []
     for i, theta in enumerate(sphere_map.theta_samples):
         for j, alpha in enumerate(sphere_map.alpha_samples):
             rows.append(
-                [theta, alpha, float(sphere_map.n_values[i, j]), bool(sphere_map.valid[i, j])]
+                [
+                    theta,
+                    alpha,
+                    float(sphere_map.n_values[i, j]),
+                    bool(sphere_map.valid[i, j]),
+                    sphere_map.method[i, j],
+                    float(sphere_map.outer_radius[i, j]),
+                    float(sphere_map.core_scale[i, j]),
+                ]
             )
     return header, rows
 

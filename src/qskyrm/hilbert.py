@@ -317,16 +317,19 @@ class State:
             return self
         return State.density(self.space, np.outer(self.data, self.data.conj()))
 
-    def amplitude(self, pol_a: str = None, pol_b: str = None, ell_b: int = None) -> complex:
-        """Single amplitude of a pure tripartite state by labels."""
+    def amplitude(self, pol_a: str, pol_b: str, ell_b: int) -> complex:
+        """Single amplitude of a pure tripartite state by labels: circular
+        polarizations ``"R"``/``"L"`` of photons A and B, and B's charge."""
         if not self.is_pure:
             raise UnsupportedStateError("amplitude lookup is for pure states")
         if not self.space.is_tripartite:
             raise UnsupportedStateError("amplitude lookup is for tripartite states")
-        ia = {"R": 0, "L": 1}[pol_a]
-        ib = {"R": 0, "L": 1}[pol_b]
+        circular = {"R": 0, "L": 1}
+        for label in (pol_a, pol_b):
+            if label not in circular:
+                raise BasisMismatchError(f"polarization label {label!r} is not R or L")
         isp = self.space.oam_basis("B").index(ell_b)
-        return complex(self.tensor()[ia, ib, isp])
+        return complex(self.tensor()[circular[pol_a], circular[pol_b], isp])
 
 
 @dataclass(frozen=True)
@@ -496,19 +499,29 @@ def spdc_pair_state(ells_a: Sequence[int], spectrum: SpdcSpectrum | None = None)
     return State(space, "pure", psi.reshape(-1))
 
 
+_SCALAR = (int, np.integer, np.bool_)  # bool is an int
+
+
+def _charge(value) -> int:
+    """``value`` as an OAM charge; a bool is a TypeError, not the charge 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"an OAM charge must be an integer, got {value!r}")
+    return int(value)
+
+
 def _normalize_projection(ell_a) -> list[tuple[int, complex]]:
-    if isinstance(ell_a, (int, np.integer)):
-        entries = [(int(ell_a), 1.0 + 0.0j)]
+    if isinstance(ell_a, _SCALAR):
+        entries = [(_charge(ell_a), 1.0 + 0.0j)]
     elif isinstance(ell_a, Mapping):
-        entries = [(int(l), complex(a)) for l, a in ell_a.items()]
+        entries = [(_charge(l), complex(a)) for l, a in ell_a.items()]
     else:
         entries = []
         for item in ell_a:
-            if isinstance(item, (int, np.integer)):
-                entries.append((int(item), 1.0 + 0.0j))
+            if isinstance(item, _SCALAR):
+                entries.append((_charge(item), 1.0 + 0.0j))
             else:
                 l, a = item
-                entries.append((int(l), complex(a)))
+                entries.append((_charge(l), complex(a)))
     if not entries:
         raise EmptyStateError("projection needs at least one charge")
     if len({l for l, _ in entries}) != len(entries):

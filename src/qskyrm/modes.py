@@ -102,12 +102,17 @@ def polar_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return r, phi
 
 
+def _log_norm(m: int) -> float:
+    """log sqrt(2 / (pi m!)), the waist-free normalization of a charge-``m`` mode."""
+    return 0.5 * (math.log(2.0) - math.log(math.pi) - math.lgamma(m + 1))
+
+
 @lru_cache(maxsize=256)
 def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
     r, phi = polar_coords(grid)
     w = grid.waist
     m = abs(ell)
-    log_pref = 0.5 * (math.log(2.0) - math.log(math.pi) - math.lgamma(m + 1)) - math.log(w)
+    log_pref = _log_norm(m) - math.log(w)
     scaled = math.sqrt(2.0) * r / w
     with np.errstate(divide="ignore"):
         log_radial = np.where(scaled > 0.0, m * np.log(np.where(scaled > 0.0, scaled, 1.0)), 0.0)

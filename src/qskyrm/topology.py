@@ -18,6 +18,20 @@ a multi-core texture into quasiparticle regions, and follows those regions
 through a parameter sweep to extract their orbital and internal-rotation
 (spin) dynamics.
 
+A pure photon needs no grid for its number.  Each circular component is the
+common Gaussian exp(-r^2/w^2)/w times sum_l c_l N_l tau^|l|, with
+N_l = sqrt(2/(pi |l|!)) and tau = t = sqrt(2) z / w for l >= 0 or conj(t)
+for l < 0 (:func:`_mode_polynomials`).  The texture is the map
+W = v/u = (s1 + i s2)/(1 + s3) onto the sphere, and n is its degree: the
+zeros of the component D that dominates at large r (the larger max |l|),
+counted with multiplicity, less those it shares with the other component O
+at the origin, with the sign of D's charges (a polynomial in conj(t) wraps
+the sphere negatively; Houghton, Manton & Sutcliffe, Nucl. Phys. B 510, 507
+(1998)).  :func:`exact_skyrmion_number` computes it for the ideal,
+unapertured texture, and reports how far out the cores sit and how small the
+smallest one is, so a reader can tell what a finite window or grid resolves.
+:func:`sphere_sweep` uses it for every pure heralded photon it covers.
+
 Quasiparticle decomposition works on preimages of the polar cap rather than
 on lumps of |sigma|: each core pins the unit vector to the north pole
 (s3 = +1), so the connected components of {s3 > 1/2} isolate the cores even
@@ -56,9 +70,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import eigvals
 from scipy.ndimage import distance_transform_edt, gaussian_filter
 from scipy.ndimage import label as _connected_label
 from scipy.optimize import linear_sum_assignment
@@ -70,10 +85,11 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hilbert import ProjectionAngles, State, herald_polarization
-from .modes import ROW_STRIP, GridSpec, grid_axes, row_strips
+from .modes import ROW_STRIP, GridSpec, _log_norm, grid_axes, row_strips
 from .stokesfield import (
     DEFAULT_INTENSITY_FLOOR,
     UnitStokesField,
+    _photon_axes,
     normalize_stokes,
     orientation_psi,
     stokes_of_photon_state,
@@ -88,6 +104,7 @@ __all__ = [
     "photon_frame",
     "skyrmion_density",
     "skyrmion_number",
+    "exact_skyrmion_number",
     "sphere_sweep",
     "locate_quasiparticles",
     "track_dynamics",
@@ -102,6 +119,8 @@ _MIN_FINITE_FRACTION = 0.95
 _SMOOTH_WAIST = 0.0625  # segmentation kernel width as a fraction of the waist
 _CAP_LEVEL = 0.5  # s3 level whose preimage islands define the regions
 _MIN_REGION_CHARGE = 0.5  # |m_j| below this is a sliver, not a quasiparticle
+_COEFF_FLOOR = 1e-12  # amplitudes below this fraction of the largest are noise
+_ROOT_TOL = 1e-9  # |f(t)| below this fraction of its terms' magnitudes is a zero
 
 
 @dataclass(frozen=True)
@@ -137,25 +156,32 @@ class SphereMap:
 
     ``n_values[i, j]`` belongs to ``(theta_samples[i], alpha_samples[j])``;
     entries whose heralding or texture collapsed are NaN with ``valid`` False.
+    ``method`` says how each number was obtained: ``"exact"`` from the mode
+    coefficients (:func:`exact_skyrmion_number`), ``"grid"`` from a rendered
+    frame, None where heralding failed.  ``outer_radius`` and ``core_scale``
+    (waists) are those of the exact samples, NaN elsewhere; ``core_scale`` is
+    inf on an exact sample with no core.
     """
 
     theta_samples: tuple[float, ...]
     alpha_samples: tuple[float, ...]
     n_values: np.ndarray
     valid: np.ndarray
+    method: np.ndarray
+    outer_radius: np.ndarray
+    core_scale: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n_values, dtype=float)
-        v = np.asarray(self.valid, dtype=bool)
         shape = (len(self.theta_samples), len(self.alpha_samples))
-        if n.shape != shape or v.shape != shape:
-            raise ValueError(f"map arrays must have shape {shape}")
-        n.setflags(write=False)
-        v.setflags(write=False)
+        for name, dtype in (("n_values", float), ("valid", bool), ("method", object),
+                            ("outer_radius", float), ("core_scale", float)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"map arrays must have shape {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "theta_samples", tuple(float(t) for t in self.theta_samples))
         object.__setattr__(self, "alpha_samples", tuple(float(a) for a in self.alpha_samples))
-        object.__setattr__(self, "n_values", n)
-        object.__setattr__(self, "valid", v)
 
 
 @dataclass(frozen=True)
@@ -322,6 +348,212 @@ def photon_frame(
     return unit, skyrmion_density(unit)
 
 
+# ---------------------------------------------------------------------------
+# exact number of a pure photon
+# ---------------------------------------------------------------------------
+
+
+class _Component(NamedTuple):
+    """One circular component of a pure photon over the common Gaussian:
+    ``sum_l coeffs[l] * tau^|l|`` with tau = t for l >= 0 and conj(t) for
+    l < 0, t = sqrt(2) z / w.  ``ells`` holds the charges whose amplitude
+    clears the noise floor, ``coeffs`` their amplitudes times N_l."""
+
+    ells: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def sign(self) -> int | None:
+        """+1 or -1 when every nonzero charge has that sign, 0 when the only
+        charge is 0 (or none is left), None when the charges mix signs."""
+        pos, neg = bool((self.ells > 0).any()), bool((self.ells < 0).any())
+        if pos and neg:
+            return None
+        return 1 if pos else -1 if neg else 0
+
+    def _powers(self, t, drop: int = 0) -> np.ndarray:
+        t = np.asarray(t, dtype=complex)[..., None]
+        return np.where(self.ells >= 0, t, np.conj(t)) ** np.maximum(np.abs(self.ells) - drop, 0)
+
+    def at(self, t) -> np.ndarray:
+        return self._powers(t) @ self.coeffs
+
+    def magnitude(self, t) -> np.ndarray:
+        """Sum of the terms' magnitudes at t: the scale of cancellation tests."""
+        return np.abs(self._powers(t)) @ np.abs(self.coeffs)
+
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """d/dt and d/dconj(t) at t."""
+        terms = self._powers(t, drop=1) * (np.abs(self.ells) * self.coeffs)
+        return terms @ (self.ells > 0), terms @ (self.ells < 0)
+
+    def slope(self, t) -> np.ndarray:
+        """|d/dt| + |d/dconj(t)|: the fastest rate of change at t."""
+        dt, dc = self.derivatives(t)
+        return np.abs(dt) + np.abs(dc)
+
+
+def _mode_polynomials(photon: State) -> tuple[_Component, _Component]:
+    """The u (R, polarization index 0) and v (L) components of a pure
+    single-photon state (module docstring).  Amplitudes below ``_COEFF_FLOOR``
+    of the largest are noise (the theta = pi herald leaves ~1e-17) and are
+    dropped."""
+    if not photon.is_pure:
+        raise UnsupportedStateError("mode polynomials need a pure photon state")
+    ip, io = _photon_axes(photon)
+    ket = photon.tensor() if ip == 0 else photon.tensor().T
+    ells = np.array(photon.space.axes[io].basis.ells)
+    norms = np.exp([_log_norm(abs(int(l))) for l in ells])
+    keep = np.abs(ket) > _COEFF_FLOOR * np.abs(ket).max()
+    u, v = (_Component(ells[k], row[k] * norms[k]) for row, k in zip(ket, keep))
+    return u, v
+
+
+def _nonzero_roots(c: _Component) -> np.ndarray:
+    """Nonzero zeros (in t) of a single-signed component, with multiplicity."""
+    powers = np.abs(c.ells)
+    top = int(powers.max())
+    desc = np.zeros(top - int(powers.min()) + 1, dtype=complex)
+    desc[top - powers] = c.coeffs
+    tau = np.roots(desc)
+    return np.conj(tau) if c.sign == -1 else tau
+
+
+def _harmonic_zeros(c: _Component) -> np.ndarray:
+    """Nonzero zeros of a mixed-sign component P(t) + Q(conj t).
+
+    With s standing for conj(t), a zero is a common root in s of
+    F = Q(s) + P(t) and of its conjugate G = P*(s) + Q*(t) (coefficients
+    conjugated).  Their Sylvester matrix in s is a matrix polynomial in t
+    whose determinant vanishes at every zero; its eigenvalues (companion
+    linearization) are polished by Newton steps on the component itself, and
+    candidates that are not zeros of it (their common s is not conj(t)) are
+    dropped.
+    """
+    pos = c.ells >= 0
+    p = np.zeros(int(c.ells.max()) + 1, dtype=complex)
+    p[c.ells[pos]] = c.coeffs[pos]
+    q = np.zeros(int(-c.ells.min()) + 1, dtype=complex)
+    q[-c.ells[~pos]] = c.coeffs[~pos]
+    n, m = len(p) - 1, len(q) - 1
+    size, deg = n + m, max(n, m)
+    # sylvester[k] multiplies t^k: n rows of F (degree m in s), m rows of G
+    sylvester = np.zeros((deg + 1, size, size), dtype=complex)
+    for r in range(n):
+        sylvester[0, r, r : r + m] = q[:0:-1]
+        sylvester[: n + 1, r, r + m] = p
+    for r in range(m):
+        sylvester[0, n + r, r : r + n + 1] = np.conj(p[::-1])
+        sylvester[1 : m + 1, n + r, r + n] = np.conj(q[1:])
+    a = np.eye(deg * size, k=size, dtype=complex)
+    a[-size:] = -np.concatenate(sylvester[:deg], axis=1)
+    b = np.eye(deg * size, dtype=complex)
+    b[-size:, -size:] = sylvester[deg]
+    # a singular b gives infinite eigenvalues, and a stray candidate can
+    # overflow in the Newton steps; the zero test below drops both
+    with np.errstate(all="ignore"):
+        t = eigvals(a, b)
+        t = t[np.isfinite(t)]
+        for _ in range(4):
+            f = c.at(t)
+            dt, dc = c.derivatives(t)
+            # dt * step + dc * conj(step) = -f
+            t = t + (dc * np.conj(f) - np.conj(dt) * f) / (np.abs(dt) ** 2 - np.abs(dc) ** 2)
+        good = np.isfinite(t) & (np.abs(c.at(t)) <= _ROOT_TOL * c.magnitude(t))
+    zeros: list[complex] = []
+    for z in t[good]:
+        if abs(z) > _ROOT_TOL and all(abs(z - y) > 1e-6 * abs(z) for y in zeros):
+            zeros.append(complex(z))
+    return np.array(zeros, dtype=complex)
+
+
+def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
+    """Skyrmion number of a pure photon's ideal, unapertured texture, from
+    its mode coefficients (module docstring).
+
+    Returns ``(n, outer_radius, core_scale)``.  The cores are the zeros of
+    either component: the preimages of the two poles.  ``outer_radius`` is
+    the distance of the outermost core from the beam axis, ``core_scale``
+    the smallest core's radius to its s3 = 0 contour to first order
+    (|other component| / fastest rate of change of the vanishing one; at a
+    k-fold zero on the axis, the k-th root of the ratio of the lowest-order
+    coefficients), both in waists.  A photon in one circular polarization has
+    a uniform texture: n = 0, outer radius 0, core scale inf.
+
+    Raises :class:`UnsupportedStateError` for a density matrix, when neither
+    component reaches a strictly larger max |l|, when the dominant component
+    mixes charge signs, when the other component's lowest-order charges wind
+    against it on the axis, and when both components vanish at one point off
+    the axis (a singular point of the texture, where n changes).
+    """
+    u, v = _mode_polynomials(photon)
+    top_u, top_v = (int(np.abs(c.ells).max(initial=-1)) for c in (u, v))
+    if top_u == top_v:
+        raise UnsupportedStateError(
+            f"both components reach |l| = {top_u}, so neither dominates at large r"
+        )
+    dom, other = (u, v) if top_u > top_v else (v, u)
+    if dom.sign is None:
+        raise UnsupportedStateError(
+            f"the dominant component mixes charge signs {dom.ells.tolist()}"
+        )
+    if other.ells.size == 0:
+        return 0, 0.0, math.inf
+    low_d, low_o = (int(np.abs(c.ells).min()) for c in (dom, other))
+    at_low_d, at_low_o = np.abs(dom.ells) == low_d, np.abs(other.ells) == low_o
+    if 0 < low_o <= low_d and (np.sign(other.ells[at_low_o]) != dom.sign).any():
+        raise UnsupportedStateError(
+            f"charges {other.ells[at_low_o].tolist()} wind against the dominant "
+            f"component on the axis"
+        )
+    n = dom.sign * (max(top_u, top_v) - min(low_d, low_o))
+
+    t_dom = _nonzero_roots(dom)
+    o_at = other.at(t_dom)
+    shared = np.abs(o_at) <= _ROOT_TOL * other.magnitude(t_dom)
+    if shared.any():
+        r = float(np.abs(t_dom[shared]).min()) / math.sqrt(2.0)
+        raise UnsupportedStateError(
+            f"both components vanish at r = {r:.6g} waists: a singular point of the texture"
+        )
+    t_oth = _harmonic_zeros(other) if other.sign is None else _nonzero_roots(other)
+    radii = [np.abs(t_dom), np.abs(t_oth)]
+    with np.errstate(divide="ignore"):
+        scales = [np.abs(o_at) / dom.slope(t_dom), np.abs(dom.at(t_oth)) / other.slope(t_oth)]
+    if low_d != low_o:
+        # the component that vanishes faster on the axis has a k-fold zero
+        # there: W or 1/W ~ t^k times the ratio of the lowest coefficients
+        lead_d, lead_o = np.abs(dom.coeffs[at_low_d]).sum(), np.abs(other.coeffs[at_low_o]).sum()
+        ratio = lead_o / lead_d if low_d > low_o else lead_d / lead_o
+        radii.append(np.zeros(1))
+        scales.append(np.array([ratio ** (1.0 / abs(low_d - low_o))]))
+    radii, scales = np.concatenate(radii), np.concatenate(scales)
+    return (
+        int(n),
+        float(radii.max(initial=0.0)) / math.sqrt(2.0),
+        float(scales.min(initial=math.inf)) / math.sqrt(2.0),
+    )
+
+
+def _sample_number(
+    photon: State, grid: GridSpec, intensity_floor: float
+) -> tuple[float, str, float, float]:
+    """``(n, method, outer_radius, core_scale)`` of one heralded photon: the
+    exact number where :func:`exact_skyrmion_number` applies, else the
+    grid's (NaN for an empty field) with NaN diagnostics."""
+    try:
+        n, outer, scale = exact_skyrmion_number(photon)
+    except UnsupportedStateError:
+        pass
+    else:
+        return float(n), "exact", outer, scale
+    try:
+        _, density = photon_frame(photon, grid, intensity_floor)
+    except EmptyFieldError:
+        return math.nan, "grid", math.nan, math.nan
+    return skyrmion_number(density), "grid", math.nan, math.nan
+
+
 def sphere_sweep(
     state: State,
     theta_samples: Sequence[float] | None = None,
@@ -332,10 +564,14 @@ def sphere_sweep(
     """Skyrmion number of photon B over a grid of heralding angles.
 
     Defaults: 9 polar angles spanning [0, pi], 8 equally spaced azimuths.
-    Samples whose heralding probability vanishes (or whose texture carries no
-    intensity) are flagged invalid rather than raising.  Each distinct
-    heralded photon is rendered once: samples whose conditional state has
-    the same bytes (every azimuth at theta = 0, say) share its number.
+    A pure heralded photon gets the exact number of its ideal texture
+    (:func:`exact_skyrmion_number`); a density matrix, or a pure photon
+    outside that function's domain, gets the Riemann sum over a frame on
+    ``grid``.  Samples whose heralding probability vanishes (or whose
+    texture carries no intensity) are flagged invalid rather than raising.
+    Each distinct heralded photon is counted once: samples whose conditional
+    state has the same bytes (every azimuth at theta = 0, say) share its
+    number.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
@@ -343,12 +579,15 @@ def sphere_sweep(
         raise ValueError("sample lists must be nonempty")
     if grid is None:
         grid = GridSpec()
-    n_values = np.full((len(thetas), len(alphas)), np.nan)
-    valid = np.zeros((len(thetas), len(alphas)), dtype=bool)
-    # photon bytes -> its number, NaN for an empty field; exact bytes only:
-    # nearly equal photons (the theta = pi kets differ by ~1e-17) can give
-    # numbers that differ in print
-    numbers: dict[bytes, float] = {}
+    shape = (len(thetas), len(alphas))
+    n_values = np.full(shape, np.nan)
+    method = np.full(shape, None, dtype=object)
+    outer_radius = np.full(shape, np.nan)
+    core_scale = np.full(shape, np.nan)
+    # photon bytes -> its sample; exact bytes only: nearly equal photons (the
+    # theta = pi kets differ by ~1e-17) can give grid numbers that differ in
+    # print
+    samples: dict[bytes, tuple[float, str, float, float]] = {}
     for i, theta in enumerate(thetas):
         for j, alpha in enumerate(alphas):
             try:
@@ -356,16 +595,11 @@ def sphere_sweep(
             except ZeroProbabilityError:
                 continue
             key = photon.data.tobytes()
-            if key not in numbers:
-                try:
-                    _, density = photon_frame(photon, grid, intensity_floor)
-                except EmptyFieldError:
-                    numbers[key] = math.nan
-                else:
-                    numbers[key] = skyrmion_number(density)
-            n_values[i, j] = numbers[key]
-            valid[i, j] = not math.isnan(numbers[key])
-    return SphereMap(thetas, alphas, n_values, valid)
+            if key not in samples:
+                samples[key] = _sample_number(photon, grid, intensity_floor)
+            n_values[i, j], method[i, j], outer_radius[i, j], core_scale[i, j] = samples[key]
+    valid = ~np.isnan(n_values)
+    return SphereMap(thetas, alphas, n_values, valid, method, outer_radius, core_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,41 @@ def test_sphere_snaps_angles_and_reports_plateaus(tmp_path, capsys):
     assert "plateaus" in capsys.readouterr().out
 
 
+# README.md's plateaus of the four sphere recipes; every sample of a pure
+# state takes the exact path, so the grid size does not matter
+SPHERE_PLATEAUS = [
+    ("binary_sphere.json", [-2, -4]),
+    ("deep_ladder_sphere.json", [-3, -6]),
+    ("ternary_sphere.json", [-5, -10, -6]),
+    ("ghz_sphere.json", [0, -6]),
+]
+
+
+@pytest.mark.parametrize("recipe, plateaus", SPHERE_PLATEAUS, ids=[r for r, _ in SPHERE_PLATEAUS])
+def test_sphere_recipe_plateaus(tmp_path, recipe, plateaus):
+    argv = ["sphere", "--config", os.path.join(CONFIG_DIR, recipe), "--grid-n", "64"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    doc = read_json(tmp_path / "sphere.json")
+    assert doc["plateaus"] == plateaus
+    assert {m for row in doc["method"] for m in row} == {"exact"}
+    assert all(n == round(n) for row in doc["n_values"] for n in row)
+    header = (tmp_path / "sphere.csv").read_text().splitlines()[0]
+    assert header == "theta,alpha,n,valid,method,outer_radius,core_scale"
+
+
+def test_sphere_of_density_state_uses_grid(tmp_path):
+    fit = tmp_path / "fit"
+    assert main(["tomography", "--out", str(fit), "--seed", "7", "--noiseless"]) == 0
+    rho_file = tmp_path / "rho.json"
+    rho_file.write_text(json.dumps(read_json(fit / "tomography.json")["rho"]))
+    out = tmp_path / "o"
+    argv = ["sphere", "--state", str(rho_file), "--grid-n", "32", "--theta", "0,1.5708"]
+    assert main(argv + ["--alpha", "0", "--out", str(out)]) == 0
+    doc = read_json(out / "sphere.json")
+    assert doc["method"] == [["grid"], ["grid"]]
+    assert doc["outer_radius"] == doc["core_scale"] == [[None], [None]]
+
+
 def test_quasiparticles_output(tmp_path):
     out = tmp_path / "o"
     code = main(

@@ -131,6 +131,24 @@ def test_balanced_switch_amplitudes(binary_state):
     assert abs(s.amplitude("R", "L", 0)) < 1e-15
 
 
+@pytest.mark.parametrize("labels, named", [
+    (("H", "R", 0), "'H'"),
+    (("R", None, 0), "None"),
+    (("R", "R", 7), "7"),
+])
+def test_amplitude_rejects_unknown_labels(binary_state, labels, named):
+    with pytest.raises(BasisMismatchError, match=named):
+        binary_state.amplitude(*labels)
+    with pytest.raises(TypeError):
+        binary_state.amplitude()
+
+
+@pytest.mark.parametrize("ell_a", [True, np.bool_(False), [0, True], {True: 1.0}, [(False, 1.0)]])
+def test_projection_rejects_bool_charges(ell_a):
+    with pytest.raises(TypeError, match="True|False"):
+        build_spin_skyrmion_state(ell_a, QPlateParams(1.0, 0.5))
+
+
 def test_pipeline_matches_explicit_ladder(binary_state):
     built = build_spin_skyrmion_state(0, QPlateParams(1.0, 0.5))
     assert built.space.oam_basis("B").ells == (0, -2, -4)

@@ -25,9 +25,15 @@ def frame_calls(monkeypatch):
 
 
 def test_sphere_sweep_frames(binary_state, frame_calls):
-    sphere_sweep(binary_state, grid=GridSpec(32, 32))
+    sphere_sweep(binary_state.to_density(), grid=GridSpec(32, 32))
     # every azimuth at theta = 0 heralds the same photon: 72 - 7 frames
     assert len(frame_calls) == 65
+
+
+def test_pure_sphere_sweep_renders_no_frame(binary_state, frame_calls):
+    smap = sphere_sweep(binary_state, grid=GridSpec(32, 32))
+    assert (smap.method == "exact").all()
+    assert frame_calls == []
 
 
 def test_track_dynamics_frames(binary_state, frame_calls):

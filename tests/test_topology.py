@@ -173,7 +173,9 @@ def right_heralded_only(state):
 
 @pytest.mark.parametrize("which", ["binary", "vanishing-herald"])
 def test_sphere_sweep_matches_per_sample_frames(binary_state, which):
+    # a density matrix takes the grid path at every sample
     state = binary_state if which == "binary" else right_heralded_only(binary_state)
+    state = state.to_density()
     grid = GridSpec(nx=48, ny=40, half_extent=4.0)
     smap = sphere_sweep(state, grid=grid)
     n_values, valid = reference_sweep(state, grid)
@@ -193,7 +195,7 @@ def test_sphere_sweep_renders_each_distinct_photon_once(binary_state, monkeypatc
         return synthesize(photon, grid)
 
     monkeypatch.setattr(topology, "stokes_of_photon_state", counting)
-    smap = sphere_sweep(binary_state, grid=GridSpec(nx=32, ny=32))
+    smap = sphere_sweep(binary_state.to_density(), grid=GridSpec(nx=32, ny=32))
     assert smap.valid.all()
     # every azimuth at theta = 0 heralds the same photon: 72 - 7 frames
     assert len(calls) == 65
@@ -206,10 +208,14 @@ def test_sphere_sweep_flags_empty_fields_invalid(binary_state, monkeypatch):
 
     monkeypatch.setattr(topology, "normalize_stokes", empty)
     smap = sphere_sweep(
-        binary_state, theta_samples=(0.0, 1.0), alpha_samples=(0.0, 2.0), grid=GridSpec(8, 8)
+        binary_state.to_density(),
+        theta_samples=(0.0, 1.0),
+        alpha_samples=(0.0, 2.0),
+        grid=GridSpec(8, 8),
     )
     assert not smap.valid.any()
     assert np.isnan(smap.n_values).all()
+    assert (smap.method == "grid").all()
 
 
 # ---------------------------------------------------------------------------
