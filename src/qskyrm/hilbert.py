@@ -621,8 +621,9 @@ def herald_polarization(state: State, angles: ProjectionAngles) -> tuple[State, 
     return _from_kets(space, cond / math.sqrt(prob), state.is_pure), prob
 
 
-def _chi_vector(basis: OamBasis, coeffs) -> np.ndarray:
-    entries = _normalize_projection(coeffs)
+def _chi_vector(basis: OamBasis, entries: Sequence[tuple[int, complex]]) -> np.ndarray:
+    """The OAM ket of already normalized ``(charge, amplitude)`` entries on
+    ``basis``; charges outside it are dropped."""
     chi = np.zeros(basis.dim, dtype=complex)
     for l, a in entries:
         if l in basis:

@@ -91,10 +91,18 @@ def grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
+def _meshgrid(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center coordinate arrays ``(xx, yy)`` of shape (ny, nx), read-only."""
+    xx, yy = np.meshgrid(*grid_axes(grid))
+    xx.setflags(write=False)
+    yy.setflags(write=False)
+    return xx, yy
+
+
+@lru_cache(maxsize=64)
 def polar_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Radius and azimuth arrays of shape (ny, nx), read-only."""
-    x, y = grid_axes(grid)
-    xx, yy = np.meshgrid(x, y)
+    xx, yy = _meshgrid(grid)
     r = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
     r.setflags(write=False)

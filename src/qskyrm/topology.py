@@ -62,14 +62,16 @@ region mean carries no information: the resultant of ``exp(2i psi)`` over a
 full ring vanishes.  The meaningful internal phase is the winding-compensated
 residual ``chi = arg sum w exp(i (2 psi - m_loc beta))``, the orientation of
 the texture in a frame riding on the core.  That is what ``track_dynamics``
-reports and unwraps.
+reports and unwraps.  It links each sample's satellites to the tracks the
+previous sample continued or started through one assignment per sample; a
+side left empty starts or ends tracks by itself, so the first sample, an
+empty sample and a restart after every track has ended take the same path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,7 +87,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .hilbert import ProjectionAngles, State, herald_polarization
-from .modes import ROW_STRIP, GridSpec, _log_norm, grid_axes, row_strips
+from .modes import ROW_STRIP, GridSpec, _log_norm, _meshgrid, row_strips
 from .stokesfield import (
     DEFAULT_INTENSITY_FLOOR,
     UnitStokesField,
@@ -210,7 +212,7 @@ class QuasiparticleReport:
     carrying at least half a unit of charge) and ``count`` their number.
     ``central_charge = total - sum(region charges)``, so additivity holds by
     construction.  ``labels`` is the per-cell core-region map (0 between
-    regions) and ``central_labels`` the labels classified as central.
+    regions).
     """
 
     count: int
@@ -218,7 +220,6 @@ class QuasiparticleReport:
     central_charge: float
     total: float
     labels: np.ndarray
-    central_labels: tuple[int, ...]
 
     def __post_init__(self):
         arr = np.asarray(self.labels, dtype=int)
@@ -607,15 +608,6 @@ def sphere_sweep(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _meshes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    x, y = grid_axes(grid)
-    xx, yy = np.meshgrid(x, y)
-    xx.setflags(write=False)
-    yy.setflags(write=False)
-    return xx, yy
-
-
 def locate_quasiparticles(
     density: SkyrmionDensityField,
     central_radius: float | None = None,
@@ -651,7 +643,7 @@ def locate_quasiparticles(
     smoothed = gaussian_filter(s3, sigma=kernel) > _CAP_LEVEL
     seeds, n_islands = _connected_label(smoothed, structure=np.ones((3, 3), dtype=bool))
     if n_islands == 0:
-        return QuasiparticleReport(0, (), total, total, seeds, ())
+        return QuasiparticleReport(0, (), total, total, seeds)
     # identity from the smoothed components, extent from the raw preimage:
     # every raw cap cell joins its nearest component so the charge integral
     # sees the full cap coverage regardless of resolution
@@ -660,13 +652,12 @@ def locate_quasiparticles(
     )
     labels = np.where(s3 > _CAP_LEVEL, seeds[iy_n, ix_n], 0)
 
-    xx, yy = _meshes(grid)
+    xx, yy = _meshgrid(grid)
     # the beam axis falls between the four innermost cells of an even grid
     iy, ix = grid.ny // 2, grid.nx // 2
     axis_labels = set(labels[iy - 1 : iy + 1, ix - 1 : ix + 1].ravel()) - {0}
     charge_scale = 2.0 / (1.0 - _CAP_LEVEL)
     regions: list[QuasiparticleRegion] = []
-    central_labels: list[int] = []
     for lab in range(1, n_islands + 1):
         cells = labels == lab
         if not cells.any():
@@ -682,16 +673,13 @@ def locate_quasiparticles(
         else:
             cx = float(xx[cells].mean())
             cy = float(yy[cells].mean())
-        if lab in axis_labels or math.hypot(cx, cy) <= central_radius:
-            central_labels.append(lab)
-        elif abs(charge) >= _MIN_REGION_CHARGE:
+        central = lab in axis_labels or math.hypot(cx, cy) <= central_radius
+        if not central and abs(charge) >= _MIN_REGION_CHARGE:
             regions.append(
                 QuasiparticleRegion(lab, (cx, cy), charge, float(cells.sum() * area))
             )
     central_charge = total - sum(r.charge for r in regions)
-    return QuasiparticleReport(
-        len(regions), tuple(regions), central_charge, total, labels, tuple(central_labels)
-    )
+    return QuasiparticleReport(len(regions), tuple(regions), central_charge, total, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -704,22 +692,92 @@ def _wrap_delta(delta: float) -> float:
 
 
 def _spin_phase(
-    unit: UnitStokesField,
-    sigma: np.ndarray,
+    density: SkyrmionDensityField,
+    two_psi: np.ndarray,
     labels: np.ndarray,
     region: QuasiparticleRegion,
 ) -> float:
-    """Winding-compensated texture phase of one region (see module docstring)."""
-    xx, yy = _meshes(unit.grid)
+    """Winding-compensated texture phase of one region (see module docstring),
+    from the frame's doubled orientation map ``two_psi``."""
+    xx, yy = _meshgrid(density.grid)
     cells = labels == region.label
     cx, cy = region.centroid
     beta = np.arctan2(yy[cells] - cy, xx[cells] - cx)
-    two_psi = 2.0 * orientation_psi(unit)[cells]
     # core winding matches the sign of the charge it carries
     winding = math.copysign(1.0, region.charge) if region.charge else -1.0
-    w = np.abs(sigma[cells])
-    resultant = np.sum(w * np.exp(1j * (two_psi - winding * beta)))
+    w = np.abs(density.sigma[cells])
+    resultant = np.sum(w * np.exp(1j * (two_psi[cells] - winding * beta)))
     return float(np.angle(resultant))
+
+
+def _link_tracks(
+    per_sample: Sequence[Sequence[tuple[float, float, float]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[bool, ...]]:
+    """Link each sample's quasiparticles ``(x, y, chi)`` into tracks.
+
+    Every sample goes through one assignment: the live tracks (those the
+    previous sample continued or started) against this sample's entries, on
+    the distance from each track's constant-velocity prediction.  A match
+    farther from the track's last position than half the smallest spacing
+    between live tracks (no cap with fewer than two) is refused.  A track
+    left without an entry ends, and an entry left without a track starts
+    one (a refused match does both), so the first sample, an empty sample
+    and a sample after every track has ended need no case of their own.  A
+    sample is ambiguous when an accepted match ties another live track's
+    distance to the same entry.
+
+    Returns ``(radii, orbit, spin, ambiguous)``: arrays of shape
+    (n_samples, n_tracks), tracks in the order they started and NaN where a
+    track is absent, with the azimuth and ``chi`` unwrapped along each track.
+    """
+    tracks: list[dict] = []
+    live: list[dict] = []
+    ambiguous: list[bool] = []
+    for i_sample, entries in enumerate(per_sample):
+        new = np.array([(x, y) for x, y, _ in entries]).reshape(-1, 2)
+        prev = np.array([t["pos"] for t in live]).reshape(-1, 2)
+        # a track's first step predicts no motion: 2 p - p == p exactly
+        predicted = np.array([2.0 * t["pos"] - t["prev_pos"] for t in live]).reshape(-1, 2)
+        raw = np.linalg.norm(prev[:, None, :] - new[None, :, :], axis=2)
+        cost = np.linalg.norm(predicted[:, None, :] - new[None, :, :], axis=2)
+        spacing = np.linalg.norm(prev[:, None, :] - prev[None, :, :], axis=2)
+        np.fill_diagonal(spacing, np.inf)
+        bound = 0.5 * float(spacing.min(initial=np.inf))
+
+        flagged = False
+        continued: list[dict] = []
+        taken: set[int] = set()
+        for i_track, j_entry in zip(*linear_sum_assignment(cost)):
+            if raw[i_track, j_entry] > bound:
+                continue
+            others = np.delete(raw[:, j_entry], i_track)
+            if abs(float(others.min(initial=np.inf)) - raw[i_track, j_entry]) < 1e-9:
+                flagged = True
+            track = live[i_track]
+            x, y, chi = entries[j_entry]
+            track["prev_pos"], track["pos"] = track["pos"], new[j_entry]
+            # unwrapped values agree with the raw angles mod 2*pi, so the
+            # wrapped increment against them is the true step
+            track["phi"] += _wrap_delta(math.atan2(y, x) - track["phi"])
+            track["chi"] += _wrap_delta(chi - track["chi"])
+            track["rows"][i_sample] = (math.hypot(x, y), track["phi"], track["chi"])
+            continued.append(track)
+            taken.add(j_entry)
+        started = []
+        for j_entry, (x, y, chi) in enumerate(entries):
+            if j_entry not in taken:
+                phi, pos = math.atan2(y, x), new[j_entry]
+                rows = {i_sample: (math.hypot(x, y), phi, chi)}
+                started.append({"pos": pos, "prev_pos": pos, "phi": phi, "chi": chi, "rows": rows})
+        tracks += started
+        live = continued + started
+        ambiguous.append(flagged)
+
+    radii, orbit, spin = np.full((3, len(per_sample), len(tracks)), np.nan)
+    for k, t in enumerate(tracks):
+        for i_sample, row in t["rows"].items():
+            radii[i_sample, k], orbit[i_sample, k], spin[i_sample, k] = row
+    return radii, orbit, spin, tuple(ambiguous)
 
 
 def track_dynamics(
@@ -757,7 +815,7 @@ def track_dynamics(
     if grid is None:
         grid = GridSpec()
 
-    per_sample: list[list[dict]] = []
+    per_sample: list[list[tuple[float, float, float]]] = []
     for i_sample, angles in enumerate(sweep):
         try:
             photon, _ = herald_polarization(state, angles)
@@ -768,115 +826,11 @@ def track_dynamics(
         if on_frame is not None:
             on_frame(i_sample, unit, density)
         report = locate_quasiparticles(density, central_radius)
-        entries = []
-        for region in report.regions:
-            entries.append(
-                {
-                    "pos": np.array(region.centroid),
-                    "r": region.radius,
-                    "phi": region.azimuth,
-                    "chi": _spin_phase(unit, density.sigma, report.labels, region),
-                }
-            )
-        per_sample.append(entries)
-
-    tracks: list[dict] = []
-    ambiguous: list[bool] = []
-
-    def _new_track(i_sample: int, entry: dict) -> None:
-        tracks.append(
-            {
-                "active": True,
-                "pos": entry["pos"],
-                "prev_pos": None,
-                "phi": entry["phi"],
-                "chi": entry["chi"],
-                "rows": {i_sample: (entry["r"], entry["phi"], entry["chi"])},
-            }
+        two_psi = 2.0 * orientation_psi(unit)
+        per_sample.append(
+            [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]
         )
 
-    for i_sample, entries in enumerate(per_sample):
-        flagged = False
-        if i_sample == 0 or not any(t["active"] for t in tracks):
-            for e in entries:
-                _new_track(i_sample, e)
-            ambiguous.append(False)
-            continue
-        active = [t for t in tracks if t["active"]]
-        if not entries:
-            for t in active:
-                t["active"] = False
-            ambiguous.append(False)
-            continue
-
-        prev_positions = np.array([t["pos"] for t in active])
-        new_positions = np.array([e["pos"] for e in entries])
-        raw = np.linalg.norm(
-            prev_positions[:, None, :] - new_positions[None, :, :], axis=2
-        )
-        predicted = []
-        for t in active:
-            if t["prev_pos"] is not None:
-                predicted.append(2.0 * t["pos"] - t["prev_pos"])
-            else:
-                predicted.append(t["pos"])
-        predicted = np.array(predicted)
-        cost = np.linalg.norm(
-            predicted[:, None, :] - new_positions[None, :, :], axis=2
-        )
-        rows, cols = linear_sum_assignment(cost)
-
-        if len(active) >= 2:
-            spacing = np.linalg.norm(
-                prev_positions[:, None, :] - prev_positions[None, :, :], axis=2
-            )
-            np.fill_diagonal(spacing, np.inf)
-            bound = 0.5 * float(spacing.min())
-        else:
-            bound = math.inf
-
-        matched_entries = set()
-        for i_track, j_entry in zip(rows, cols):
-            track = active[i_track]
-            entry = entries[j_entry]
-            if raw[i_track, j_entry] > bound:
-                track["active"] = False
-                continue
-            others = np.delete(raw[:, j_entry], i_track)
-            if others.size and abs(float(others.min()) - raw[i_track, j_entry]) < 1e-9:
-                flagged = True
-            matched_entries.add(j_entry)
-            track["prev_pos"] = track["pos"]
-            track["pos"] = entry["pos"]
-            # unwrapped values agree with the raw angles mod 2*pi, so the
-            # wrapped increment against them is the true step
-            track["phi"] += _wrap_delta(entry["phi"] - track["phi"])
-            track["chi"] += _wrap_delta(entry["chi"] - track["chi"])
-            track["rows"][i_sample] = (entry["r"], track["phi"], track["chi"])
-        for i_track, t in enumerate(active):
-            if i_track not in rows:
-                t["active"] = False
-        for j_entry, e in enumerate(entries):
-            if j_entry not in matched_entries:
-                _new_track(i_sample, e)
-        ambiguous.append(flagged)
-
-    n_samples = len(sweep)
-    n_tracks = len(tracks)
-    radii = np.full((n_samples, n_tracks), np.nan)
-    orbit = np.full((n_samples, n_tracks), np.nan)
-    spin = np.full((n_samples, n_tracks), np.nan)
-    for k, t in enumerate(tracks):
-        for i_sample, (r, phi, chi) in t["rows"].items():
-            radii[i_sample, k] = r
-            orbit[i_sample, k] = phi
-            spin[i_sample, k] = chi
-    return DynamicsTrace(
-        sweep_param,
-        values,
-        radii,
-        orbit,
-        spin,
-        tuple(len(entries) for entries in per_sample),
-        tuple(ambiguous),
-    )
+    radii, orbit, spin, ambiguous = _link_tracks(per_sample)
+    counts = tuple(len(entries) for entries in per_sample)
+    return DynamicsTrace(sweep_param, values, radii, orbit, spin, counts, ambiguous)

@@ -99,7 +99,7 @@ def test_apply_qplate_bytes():
     assert _digest(out) == QPLATE_DIGEST
 
 
-PROJECT_DIGEST = "1564f79094a56e7c80785629bd00359242a7947230bffc6f55834b2468bb0ae5"
+PROJECT_DIGEST = "cada45cc60524e8b0ce40b55a59b6901168de91575138686472ec68657476847"
 COEFFS = (
     {0: 1.0, -2: 1.0j},
     [(0, 1.0), (-4, 0.5 + 0.5j)],

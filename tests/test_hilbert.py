@@ -34,6 +34,7 @@ from qskyrm import (
     state_overlap,
     state_to_dict,
 )
+from qskyrm.hilbert import _chi_vector, _normalize_projection
 
 ANGLES = st.tuples(
     st.floats(min_value=0.0, max_value=math.pi),
@@ -268,6 +269,14 @@ def test_project_oam_drop_axis(binary_state):
     assert abs(prob - 0.25) < 1e-12
     assert not out.space.has_axis("oam_B")
     assert abs(out.tensor()[0, 0] - 1.0) < 1e-12  # collapses onto |R,R>
+
+
+def test_chi_vector_keeps_normalized_entries():
+    # the projection is normalized once; the overlap ket carries those
+    # amplitudes unchanged, as the kept-axis output does
+    entries = _normalize_projection({0: 1, -2: 1j, 5: 0.3})
+    chi = _chi_vector(OamBasis((0, -2, 5, 7)), entries)
+    assert chi.tolist() == [a for _, a in entries] + [0j]
 
 
 def test_restrict_oam_b_keeps_coherence(binary_state):

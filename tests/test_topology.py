@@ -241,7 +241,7 @@ def test_south_texture_has_no_cap(small_grid):
     density = skyrmion_density(uniform_unit_field(small_grid, (0.0, 0.0, -1.0)))
     report = locate_quasiparticles(density)
     assert report.count == 0
-    assert report.central_labels == ()
+    assert not report.labels.any()
 
 
 def test_binary_equator_decomposition(mid_grid, binary_state):
@@ -356,3 +356,139 @@ def test_theta_scan_radii_shrink(small_grid, binary_state):
         radii = trace.radii[:, k]
         assert np.all(np.isfinite(radii))
         assert np.all(np.diff(radii) < 0.0)
+
+
+def test_orientation_computed_once_per_frame(monkeypatch, binary_state):
+    calls = []
+    psi = topology.orientation_psi
+
+    def counting(unit):
+        calls.append(1)
+        return psi(unit)
+
+    monkeypatch.setattr(topology, "orientation_psi", counting)
+    sweep = [ProjectionAngles(1.26, a) for a in (0.0, 0.9, 1.8, 2.7, 3.6)]
+    trace = track_dynamics(binary_state, sweep, GridSpec(64, 64))
+    assert trace.counts == (2,) * 5
+    assert len(calls) == 5
+
+
+# Hand-made entry sequences for the linker: each sample lists its
+# quasiparticles as (x, y, chi).  The expected rows are literal values
+# recorded from the earlier three-branch linking loop.
+NAN = math.nan
+
+
+def _assert_links(per_sample, radii, orbit, spin, ambiguous):
+    got = topology._link_tracks(per_sample)
+    for arr, want in zip(got[:3], (radii, orbit, spin)):
+        np.testing.assert_array_equal(arr, np.array(want, dtype=float))
+    assert got[3] == ambiguous
+
+
+def test_link_empty_sample_ends_every_track():
+    _assert_links(
+        [
+            [(1.0, 0.0, 0.5), (-1.0, 0.0, -0.5)],
+            [(0.9, 0.3, 1.5), (-0.9, -0.3, -1.5)],
+            [],
+            [(0.0, 1.0, 3.0), (0.0, -1.0, -3.0)],
+            [(-0.3, 0.9, -3.0), (0.3, -0.9, 3.0)],
+        ],
+        [[1.0, 1.0, NAN, NAN],
+         [0.9486832980505138, 0.9486832980505138, NAN, NAN],
+         [NAN, NAN, NAN, NAN],
+         [NAN, NAN, 1.0, 1.0],
+         [NAN, NAN, 0.9486832980505138, 0.9486832980505138]],
+        [[0.0, 3.141592653589793, NAN, NAN],
+         [0.32175055439664213, 3.4633432079864352, NAN, NAN],
+         [NAN, NAN, NAN, NAN],
+         [NAN, NAN, 1.5707963267948966, -1.5707963267948966],
+         [NAN, NAN, 1.8925468811915387, -1.2490457723982544]],
+        [[0.5, -0.5, NAN, NAN],
+         [1.5, -1.5, NAN, NAN],
+         [NAN, NAN, NAN, NAN],
+         [NAN, NAN, 3.0, -3.0],
+         [NAN, NAN, 3.2831853071795862, -3.2831853071795862]],
+        (False,) * 5,
+    )
+
+
+def test_link_restarts_after_every_track_ended():
+    # the azimuth and chi unwrap across +-pi along each track, and a
+    # restarted track begins again at the raw angles
+    _assert_links(
+        [
+            [(-1.0, 0.1, 3.0)],
+            [(-1.0, -0.1, -3.0)],
+            [],
+            [],
+            [(-1.0, -0.2, 2.0)],
+            [(-1.0, 0.2, -2.0)],
+        ],
+        [[1.004987562112089, NAN],
+         [1.004987562112089, NAN],
+         [NAN, NAN],
+         [NAN, NAN],
+         [NAN, 1.019803902718557],
+         [NAN, 1.019803902718557]],
+        [[3.0419240010986313, NAN],
+         [3.241261306080955, NAN],
+         [NAN, NAN],
+         [NAN, NAN],
+         [NAN, -2.9441970937399127],
+         [NAN, -3.3389882134396736]],
+        [[3.0, NAN],
+         [3.2831853071795862, NAN],
+         [NAN, NAN],
+         [NAN, NAN],
+         [NAN, 2.0],
+         [NAN, 4.283185307179586]],
+        (False,) * 6,
+    )
+
+
+def test_link_new_core_starts_a_track():
+    _assert_links(
+        [
+            [(1.0, 0.0, 0.0)],
+            [(1.0, 0.2, 0.1), (-1.5, 0.0, 1.0)],
+            [(1.0, 0.4, 0.2), (-1.5, -0.2, 1.1)],
+        ],
+        [[1.0, NAN], [1.019803902718557, 1.5], [1.0770329614269007, 1.5132745950421556]],
+        [[0.0, NAN], [0.19739555984988089, 3.141592653589793],
+         [0.3805063771123649, 3.274144185886467]],
+        [[0.0, NAN], [0.10000000000000009, 1.0], [0.20000000000000018, 1.1]],
+        (False,) * 3,
+    )
+
+
+def test_link_far_match_ends_and_starts_a_track():
+    # the cores start 2 apart, so a step longer than 1 is refused
+    _assert_links(
+        [
+            [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
+            [(1.05, 0.0, 0.1), (-1.0, 1.5, 0.2)],
+            [(1.1, 0.0, 0.2), (-1.0, 1.6, 0.3)],
+        ],
+        [[1.0, 1.0, NAN], [1.05, NAN, 1.8027756377319946], [1.1, NAN, 1.886796226411321]],
+        [[0.0, 3.141592653589793, NAN], [0.0, NAN, 2.158798930342464],
+         [0.0, NAN, 2.129395642138459]],
+        [[0.0, 0.0, NAN], [0.10000000000000009, NAN, 0.2],
+         [0.20000000000000018, NAN, 0.3000000000000001]],
+        (False,) * 3,
+    )
+
+
+def test_link_exact_tie_is_ambiguous():
+    # the entry at the origin lies exactly 1 from both tracks
+    _assert_links(
+        [
+            [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+            [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5)],
+        ],
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[3.141592653589793, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.5, 0.5]],
+        (False, True),
+    )
