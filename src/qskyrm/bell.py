@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BasisMismatchError, UnsupportedStateError, ZeroProbabilityError
-from .hilbert import OamBasis, Space, State, polarization_ket
+from .hilbert import OamBasis, Space, State, _charge, polarization_ket
 
 __all__ = [
     "HERALD_PHASES",
@@ -57,7 +57,7 @@ class BellSubspace:
             raise ValueError(f"pol_b must be 'R' or 'L', got {self.pol_b!r}")
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError(f"pair must hold two distinct charges, got {self.pair}")
-        object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
+        object.__setattr__(self, "pair", (_charge(self.pair[0]), _charge(self.pair[1])))
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,20 @@ quasiparticles, dynamics, tomography, bell.
 
 Configuration lives in an optional JSON file (--config) that flags override;
 flags win.  ``_OPTIONS`` is the single list of settings: each row declares one
-config key with its default, flag, help text, parser and validator, and the
-defaults, flags and per-field checks all derive from it.  Unknown config keys
-are rejected and the full configuration is validated before anything is
-computed or written.  Output directories come from --out, the config, or the
-QSKYRM_OUTPUT_DIR environment variable, in that order.  Every command is
-deterministic for a given (config, seed): no timestamps are written anywhere,
-so reruns are byte-identical, and each product embeds the SHA-256 of its
-resolved configuration.
+config key with its default, flag, help text and one ``kind`` (its type), plus
+a rule where the setting has a range or maps its value.  The defaults, the
+flags and the type check of each merged value all derive from it: a file value
+must have its flag's type (an integral float counts as an integer; nothing else
+is coerced), and null is accepted exactly where the default is null.  Unknown
+config keys are rejected and the full configuration is validated before
+anything is computed or written.  Output directories come from --out, the
+config, or the QSKYRM_OUTPUT_DIR environment variable, in that order.  Every
+command is deterministic for a given (config, seed): no timestamps are written
+anywhere, so reruns are byte-identical, and each product embeds the SHA-256 of
+its resolved configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 missing input file (a
+directory where a file is expected included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .tomography import (
     simulate_counts,
 )
 from .topology import (
+    _sweep_axis,
     locate_quasiparticles,
     photon_frame,
     skyrmion_number,
@@ -94,7 +98,7 @@ class RunConfig:
     alpha: list | None
     theta_fixed: float | None
     alpha_fixed: float | None
-    total_per_setting: int | None
+    total_per_setting: int
     noiseless: bool
     witnesses_only: bool
     target_file: str | None
@@ -134,57 +138,45 @@ def _number_list(kind):
     return parse
 
 
-def _checked(convert, ok, message: str):
-    """Validator: ``convert`` the raw value, then reject it unless ``ok``."""
+_WANTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
-    def check(raw):
-        value = convert(raw)
+
+def _typed(kind, raw):
+    """The merged value ``raw`` of a setting as its ``kind`` says.
+
+    An int takes an integral float as the integer it names; a float takes an
+    int.  Bools, strings and other numbers are never coerced: a value of the
+    wrong JSON type is a config error, which the caller prefixes with the key.
+    """
+    if isinstance(kind, list):
+        if not isinstance(raw, list):
+            raise ConfigError(f"must be a list, got {raw!r}")
+        return [_typed(kind[0], item) for item in raw]
+    if isinstance(kind, tuple):
+        ok = raw in kind
+    elif kind in (int, float):
+        ok = isinstance(raw, (int, float)) and not isinstance(raw, bool) and (
+            kind is float or not isinstance(raw, float) or raw.is_integer()
+        )
+    elif kind in (bool, str):
+        ok = isinstance(raw, kind)
+    else:  # a parser of its own
+        return kind(raw)
+    if not ok:
+        raise ConfigError(f"must be {_WANTED.get(kind) or '|'.join(kind)}, got {raw!r}")
+    return kind(raw) if kind in (int, float) else raw
+
+
+def _require(ok, requirement: str):
+    """Rule that keeps a value when ``ok(value)``; else a config error saying
+    ``requirement``, formatted with the value."""
+
+    def rule(value):
         if not ok(value):
-            raise ConfigError(message.format(value))
+            raise ConfigError(requirement.format(value))
         return value
 
-    return check
-
-
-def _integer(key: str):
-    """Converter for an integer setting: bools, strings and non-integral
-    numbers are config errors that name ``key``, never truncated."""
-
-    def convert(raw) -> int:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or (
-            isinstance(raw, float) and not raw.is_integer()
-        ):
-            raise ConfigError(f"{key} must be an integer, got {raw!r}")
-        return int(raw)
-
-    return convert
-
-
-def _real(key: str):
-    """Converter for a real setting: an int or a float, as a float; bools,
-    strings and null are config errors that name ``key``."""
-
-    def convert(raw) -> float:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {raw!r}")
-        return float(raw)
-
-    return convert
-
-
-def _switch(key: str):
-    """Converter for an on/off setting: only JSON true or false."""
-
-    def convert(raw) -> bool:
-        if not isinstance(raw, bool):
-            raise ConfigError(f"{key} must be true or false, got {raw!r}")
-        return raw
-
-    return convert
-
-
-def _nullable(check):
-    return lambda raw: None if raw is None else check(raw)
+    return rule
 
 
 def _snap_angle(value: float, hi: float) -> float:
@@ -196,18 +188,12 @@ def _snap_angle(value: float, hi: float) -> float:
     return value
 
 
-def _theta(key: str):
-    real = _real(key)
-    return lambda raw: ProjectionAngles(_snap_angle(real(raw), math.pi)).theta
+def _theta(value: float) -> float:
+    return ProjectionAngles(_snap_angle(value, math.pi)).theta
 
 
-def _alpha(key: str):
-    real = _real(key)
-    return lambda raw: ProjectionAngles(0.0, _snap_angle(real(raw), 2.0 * math.pi)).alpha
-
-
-def _each(convert):
-    return lambda raw: [convert(item) for item in raw]
+def _alpha(value: float) -> float:
+    return ProjectionAngles(0.0, _snap_angle(value, 2.0 * math.pi)).alpha
 
 
 def _is_charge(raw) -> bool:
@@ -215,98 +201,83 @@ def _is_charge(raw) -> bool:
 
 
 def _parse_projection(raw) -> list:
+    """state.ell_a's file form: a bare charge, or a list of charges and
+    ``[charge, re(, im)]`` entries; its flag form is a list of charges."""
     if _is_charge(raw):
         return [raw]
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"state.ell_a must be a charge or a nonempty list, got {raw!r}")
-    amplitude = _real("state.ell_a amplitude")
+        raise ConfigError(f"must be a charge or a nonempty list, got {raw!r}")
     entries = []
     for item in raw:
         if _is_charge(item):
             entries.append(item)
         elif isinstance(item, list) and len(item) in (2, 3) and _is_charge(item[0]):
-            parts = [amplitude(part) for part in item[1:]]
-            entries.append((item[0], complex(*parts)))
+            entries.append((item[0], complex(*(_typed(float, part) for part in item[1:]))))
         else:
-            raise ConfigError(
-                f"state.ell_a entries must be charges or [charge, re(, im)], got {item!r}"
-            )
+            raise ConfigError(f"entries must be charges or [charge, re(, im)], got {item!r}")
     return entries
 
 
 class _Option(NamedTuple):
-    """One setting: config key, default, flag, help text, parser and validator."""
+    """One setting: config key, default, flag, help text, kind and rule."""
 
     key: str  # dotted config key: "seed" or "section.name"
     default: object
     flag: str
     help: str
-    # int or float is the argparse type, a tuple lists the choices, bool makes a
-    # switch, and a function parses the flag text after argparse, so that a bad
-    # list is a config error (exit 2 with a message) rather than a usage error
-    flag_type: object = None
-    check: Callable = lambda raw: raw  # merged value -> RunConfig value; raises if bad
+    # the setting's one type: int, float, bool, str, a tuple of choices, or
+    # [int] / [float] for a list.  It makes the flag (an argparse type, a
+    # switch, choices, or comma-separated text parsed after argparse so that a
+    # bad list is a config error, exit 2, rather than a usage error) and checks
+    # the merged value through _typed; null passes only where the default is
+    # null.  A function parses the value itself: state.ell_a's file form is
+    # richer than the list of charges its flag takes.
+    kind: object
+    rule: Callable = lambda value: value  # typed value -> RunConfig value: range or mapping
     field: str = ""  # RunConfig field, when it is not the key's last part
 
 
-_INTS, _FLOATS = _number_list(int), _number_list(float)
-_EXTRACTS = ("none", "ghz", "reference")
-
 # the single list of settings (see the module docstring), in --help order
 _OPTIONS = (
-    _Option("output_dir", None, "--out", "output directory", field="out_dir",
-            check=lambda raw: raw or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"),
-    _Option("seed", 7, "--seed", "seed for anything stochastic", int, _integer("seed")),
-    _Option("grid.n", 512, "--grid-n", "grid cells per side", int, _integer("grid.n"),
-            "grid_n"),
-    _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)",
-            float, _real("grid.half_extent")),
-    _Option("grid.waist", 1.0, "--waist", "mode waist", float, _real("grid.waist")),
+    _Option("output_dir", None, "--out", "output directory", str, field="out_dir"),
+    _Option("seed", 7, "--seed", "seed for anything stochastic", int),
+    _Option("grid.n", 512, "--grid-n", "grid cells per side", int, field="grid_n"),
+    _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)", float),
+    _Option("grid.waist", 1.0, "--waist", "mode waist", float),
     _Option("analysis.intensity_floor", 1e-6, "--floor", "relative intensity floor", float,
-            _checked(_real("analysis.intensity_floor"), lambda v: 0.0 < v <= 1.0,
-                     "analysis.intensity_floor must lie in (0, 1], got {}")),
-    _Option("state.file", None, "--state", "input state file (overrides built state)",
+            _require(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {}")),
+    _Option("state.file", None, "--state", "input state file (overrides built state)", str,
             field="state_file"),
     _Option("state.ell_a", [0], "--ell-a", "comma-separated arm-A projection charges",
-            _INTS, _parse_projection),
+            _parse_projection),
     _Option("state.q", 1.0, "--q", "plate charge q (2q integer)", float,
-            lambda raw: QPlateParams(_real("state.q")(raw)).q),
+            lambda v: QPlateParams(v).q),
     _Option("state.tuning", 0.5, "--tuning", "plate tuning in [0, 1]", float,
-            lambda raw: QPlateParams(1.0, _real("state.tuning")(raw)).tuning),
+            lambda v: QPlateParams(1.0, v).tuning),
     _Option("state.ladder", None, "--ladder", "explicit l1,l2,l3 balanced-state charges",
-            _INTS, _nullable(_checked(lambda raw: [_integer("state.ladder")(l) for l in raw],
-                                      lambda v: len(v) == len(set(v)) == 3,
-                                      "state.ladder needs 3 distinct charges, got {}"))),
-    _Option("state.extract", "none", "--extract", "post-build filter", _EXTRACTS,
-            _checked(lambda raw: raw, lambda v: v in _EXTRACTS,
-                     "state.extract must be none|ghz|reference, got {!r}")),
+            [int], _require(lambda v: len(v) == len(set(v)) == 3,
+                            "needs 3 distinct charges, got {}")),
+    _Option("state.extract", "none", "--extract", "post-build filter",
+            ("none", "ghz", "reference")),
     _Option("sweep.theta", None, "--theta", "comma-separated polar heralding angles",
-            _FLOATS, _nullable(_each(_theta("sweep.theta")))),
+            [float], lambda v: [_theta(t) for t in v]),
     _Option("sweep.alpha", None, "--alpha", "comma-separated azimuthal heralding angles",
-            _FLOATS, _nullable(_each(_alpha("sweep.alpha")))),
-    _Option("sweep.theta_fixed", None, "--theta-fixed", "fixed polar angle", float,
-            _nullable(_theta("sweep.theta_fixed"))),
-    _Option("sweep.alpha_fixed", None, "--alpha-fixed", "fixed azimuthal angle", float,
-            _nullable(_alpha("sweep.alpha_fixed"))),
+            [float], lambda v: [_alpha(a) for a in v]),
+    _Option("sweep.theta_fixed", None, "--theta-fixed", "fixed polar angle", float, _theta),
+    _Option("sweep.alpha_fixed", None, "--alpha-fixed", "fixed azimuthal angle", float, _alpha),
     _Option("analysis.central_radius", None, "--central-radius", "central-region radius",
-            float, _nullable(_checked(_real("analysis.central_radius"), lambda v: v > 0.0,
-                                      "analysis.central_radius must be positive"))),
+            float, _require(lambda v: v > 0.0, "must be positive")),
     _Option("tomography.total_per_setting", 10000, "--total-per-setting",
-            "mean counts per setting", int,
-            _nullable(_checked(_integer("tomography.total_per_setting"), lambda v: v >= 1,
-                               "tomography.total_per_setting must be >= 1"))),
-    _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool,
-            _switch("tomography.noiseless")),
+            "mean counts per setting", int, _require(lambda v: v >= 1, "must be >= 1")),
+    _Option("tomography.noiseless", False, "--noiseless", "skip count noise", bool),
     _Option("tomography.witnesses_only", False, "--witnesses-only",
-            "only evaluate witnesses on --state", bool,
-            _switch("tomography.witnesses_only")),
-    _Option("tomography.target_file", None, "--target", "target state file for fidelity"),
-    _Option("bell.pol_b", "R", "--pol-b", "photon-B polarization sector", ("R", "L"), str),
+            "only evaluate witnesses on --state", bool),
+    _Option("tomography.target_file", None, "--target", "target state file for fidelity", str),
+    _Option("bell.pol_b", "R", "--pol-b", "photon-B polarization sector", ("R", "L")),
     _Option("bell.pair", None, "--pair", "comma-separated OAM pair for the Bell subspace",
-            _INTS, _nullable(lambda raw: tuple(_integer("bell.pair")(l) for l in raw))),
+            [int], tuple),
     _Option("bell.werner_p", None, "--werner-p", "Werner mixing weight", float,
-            _nullable(_checked(_real("bell.werner_p"), lambda v: 0.0 <= v <= 1.0,
-                               "bell.werner_p must lie in [0, 1], got {}"))),
+            _require(lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1], got {}")),
 )
 
 
@@ -322,6 +293,14 @@ def _check_keys(section: dict, allowed: dict, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _input_file(path: str, what: str) -> str:
+    """``path``, when it names a file; a missing path or a directory is a
+    missing input."""
+    if not os.path.isfile(path):
+        raise MissingInputError(f"{what} file not found: {path}")
+    return path
+
+
 def _merged_config(path: str | None) -> dict:
     """Defaults overlaid with the config file at ``path``, if any."""
     merged: dict = {}
@@ -330,9 +309,7 @@ def _merged_config(path: str | None) -> dict:
         holder[name] = opt.default
     if path is None:
         return merged
-    if not os.path.exists(path):
-        raise MissingInputError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(_input_file(path, "config"), encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -360,8 +337,8 @@ def _apply_flag_overrides(merged: dict, args: argparse.Namespace) -> None:
         value = getattr(args, opt.flag[2:].replace("-", "_"))
         if value is None:
             continue
-        if callable(opt.flag_type) and not isinstance(opt.flag_type, type):
-            value = opt.flag_type(value)
+        if not isinstance(opt.kind, (type, tuple)):  # a list, or state.ell_a's charges
+            value = _number_list(opt.kind[0] if isinstance(opt.kind, list) else int)(value)
         holder, name = _slot(merged, opt.key)
         holder[name] = value
 
@@ -375,7 +352,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values = {}
         for opt in _OPTIONS:
             holder, name = _slot(merged, opt.key)
-            values[opt.field or name] = opt.check(holder[name])
+            raw = holder[name]
+            try:
+                values[opt.field or name] = (
+                    None if raw is None and opt.default is None else opt.rule(_typed(opt.kind, raw))
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"{opt.key} {exc}") from None
+        values["out_dir"] = values["out_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"
         n = values.pop("grid_n")
         grid = GridSpec(n, n, values.pop("half_extent"), values.pop("waist"))
 
@@ -383,27 +367,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if pair is not None or values["werner_p"] is not None:
             BellSubspace(values["pol_b"], pair if pair is not None else (0, -2))
 
+        semantic = {k: v for k, v in merged.items() if k != "output_dir"}
+        semantic["command"] = args.command
+        cfg = RunConfig(command=args.command, grid=grid, semantic=semantic, **values)
         if args.command == "dynamics":
-            theta, alpha = values["theta"], values["alpha"]
-            if (theta is None) == (alpha is None):
+            if (cfg.theta is None) == (cfg.alpha is None):
                 raise ConfigError("dynamics needs exactly one of sweep.theta, sweep.alpha")
-            varying = theta if theta is not None else alpha
-            if len(varying) < 5:
-                raise ConfigError(f"dynamics sweep needs at least 5 samples, got {len(varying)}")
+            _sweep_axis(_sweep_angles(cfg))
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-
-    semantic = {k: v for k, v in merged.items() if k != "output_dir"}
-    semantic["command"] = args.command
-    return RunConfig(command=args.command, grid=grid, semantic=semantic, **values)
+    return cfg
 
 
 def _load_state_checked(path: str) -> State:
-    if not os.path.exists(path):
-        raise MissingInputError(f"state file not found: {path}")
-    state, _ = load_state(path)
+    state, _ = load_state(_input_file(path, "state"))
     return state
 
 
@@ -563,9 +542,9 @@ def cmd_dynamics(cfg: RunConfig) -> None:
     sweep = _sweep_angles(cfg)
     rendered = set()
 
-    def render(i: int, unit, density) -> None:
+    def render(i: int, unit, density, psi) -> None:
         write_pgm(_out(cfg, f"frame_{i:03d}_sigma.pgm"), density.sigma)
-        write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), orientation_psi(unit))
+        write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), psi)
         rendered.add(i)
 
     trace = track_dynamics(
@@ -588,7 +567,7 @@ def cmd_dynamics(cfg: RunConfig) -> None:
     # every frame gets a raster; the tracker drops a sample it cannot herald
     # or resolve, and computing that frame again raises the reason
     for i in sorted(set(range(len(sweep))) - rendered):
-        render(i, *_frame(cfg, state, sweep[i]))
+        _frame(cfg, state, sweep[i])
     orbits = ", ".join(f"{v:+.3f}" for v in trace.net_orbit())
     print(f"{trace.n_tracks} track(s); net orbit [{orbits}]")
 
@@ -614,7 +593,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
     d_sp = state.space.oam_basis("B").dim
     pset = build_projector_set(d_sp)
     probabilities = forward_model(state, pset)
-    if cfg.noiseless or cfg.total_per_setting is None:
+    if cfg.noiseless:
         record = probabilities
     else:
         record = simulate_counts(probabilities, cfg.total_per_setting, cfg.seed)
@@ -693,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
     for opt in _OPTIONS:
-        kind = opt.flag_type
+        kind = opt.kind
         if kind is bool:  # absent is None, not False, so a config's true stands
             extra = {"action": "store_true", "default": None}
         elif kind in (int, float):
@@ -735,3 +714,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

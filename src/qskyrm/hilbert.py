@@ -88,6 +88,20 @@ def polarization_ket(label: str) -> np.ndarray:
         raise ValueError(f"unknown polarization label {label!r}") from None
 
 
+_SCALAR = (int, float, np.integer, np.floating, np.bool_)  # bool is an int
+
+
+def _charge(value) -> int:
+    """``value`` as an OAM charge.  An integral float such as -2.0 is the
+    integer it names; a bool, a string or a non-integral number is a TypeError
+    that names the value, never truncated or read as the charge 0 or 1."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise TypeError(f"an OAM charge must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OamBasis:
     """Ordered set of distinct integer OAM charges."""
@@ -95,7 +109,7 @@ class OamBasis:
     ells: tuple[int, ...]
 
     def __post_init__(self):
-        ells = tuple(int(l) for l in self.ells)
+        ells = tuple(_charge(l) for l in self.ells)
         if len(ells) == 0:
             raise EmptyStateError("OAM basis must contain at least one charge")
         if len(set(ells)) != len(ells):
@@ -390,7 +404,7 @@ class SpdcSpectrum:
     weights: Mapping[int, float]
 
     def __post_init__(self):
-        w = {int(l): float(a) for l, a in dict(self.weights).items()}
+        w = {_charge(l): float(a) for l, a in dict(self.weights).items()}
         if not w:
             raise EmptyStateError("spectrum has no entries")
         if any(a < 0.0 for a in w.values()):
@@ -402,10 +416,10 @@ class SpdcSpectrum:
 
     @staticmethod
     def flat(ells: Sequence[int]) -> "SpdcSpectrum":
-        return SpdcSpectrum({int(l): 1.0 for l in ells})
+        return SpdcSpectrum({_charge(l): 1.0 for l in ells})
 
     def amplitude(self, ell: int) -> float:
-        return self.weights.get(int(ell), 0.0)
+        return self.weights.get(_charge(ell), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +497,7 @@ def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
 
 def spdc_pair_state(ells_a: Sequence[int], spectrum: SpdcSpectrum | None = None) -> State:
     """Anti-correlated pair state sum_l c_l |R, l>_A |R, -l>_B before the plates."""
-    ells_a = tuple(int(l) for l in ells_a)
+    ells_a = tuple(_charge(l) for l in ells_a)
     if spectrum is None:
         spectrum = SpdcSpectrum.flat(ells_a)
     amps = np.array([spectrum.amplitude(l) for l in ells_a], dtype=float)
@@ -497,16 +511,6 @@ def spdc_pair_state(ells_a: Sequence[int], spectrum: SpdcSpectrum | None = None)
     for k, l in enumerate(ells_a):
         psi[0, k, 0, basis_b.index(-l)] = amps[k]
     return State(space, "pure", psi.reshape(-1))
-
-
-_SCALAR = (int, np.integer, np.bool_)  # bool is an int
-
-
-def _charge(value) -> int:
-    """``value`` as an OAM charge; a bool is a TypeError, not the charge 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"an OAM charge must be an integer, got {value!r}")
-    return int(value)
 
 
 def _normalize_projection(ell_a) -> list[tuple[int, complex]]:
@@ -565,7 +569,7 @@ def balanced_switch_state(ells: Sequence[int]) -> State:
     Returns (|R,R,l1> + |R,L,l2> + |L,R,l2> + |L,L,l3>)/2 over the given
     ``(l1, l2, l3)``.
     """
-    l1, l2, l3 = (int(l) for l in ells)
+    l1, l2, l3 = (_charge(l) for l in ells)
     basis = OamBasis((l1, l2, l3))
     space = Space.tripartite(basis)
     psi = np.zeros(space.dims, dtype=complex)
@@ -773,8 +777,8 @@ def _axis_names(value) -> list[str]:
 
 def _oam_charges(value) -> dict[str, tuple[int, ...]]:
     if isinstance(value, Mapping):
-        return {arm: tuple(int(l) for l in ells) for arm, ells in value.items()}
-    return {"B": tuple(int(l) for l in value)}
+        return {arm: tuple(_charge(l) for l in ells) for arm, ells in value.items()}
+    return {"B": tuple(_charge(l) for l in value)}
 
 
 def _complex_entries(value) -> np.ndarray:

@@ -780,6 +780,18 @@ def _link_tracks(
     return radii, orbit, spin, tuple(ambiguous)
 
 
+def _sweep_axis(sweep: Sequence[ProjectionAngles]) -> tuple[str, tuple[float, ...]]:
+    """The angle a dynamics sweep varies, and its values; a ValueError unless
+    the sweep has at least five samples and varies exactly one angle."""
+    if len(sweep) < 5:
+        raise ValueError(f"sweep needs at least 5 samples, got {len(sweep)}")
+    angles = {"theta": [a.theta for a in sweep], "alpha": [a.alpha for a in sweep]}
+    varying = [name for name, values in angles.items() if float(np.ptp(values)) > 1e-12]
+    if len(varying) != 1:
+        raise ValueError("sweep must vary exactly one of theta, alpha")
+    return varying[0], tuple(float(v) for v in angles[varying[0]])
+
+
 def track_dynamics(
     state: State,
     sweep: Sequence[ProjectionAngles],
@@ -787,7 +799,7 @@ def track_dynamics(
     central_radius: float | None = None,
     intensity_floor: float = DEFAULT_INTENSITY_FLOOR,
     *,
-    on_frame: Callable[[int, UnitStokesField, SkyrmionDensityField], None] | None = None,
+    on_frame: Callable[..., None] | None = None,
 ) -> DynamicsTrace:
     """Follow quasiparticles of the heralded texture through an angle sweep.
 
@@ -797,21 +809,13 @@ def track_dynamics(
     inter-particle spacing, with ties broken by constant-velocity
     extrapolation (such samples are flagged ambiguous).  Tracks that lose
     their region (e.g. cores merging into the central structure) end; their
-    later entries stay NaN.  ``on_frame(i, unit, density)``, when given, is
-    called with each sample's texture and density; samples dropped for zero
-    heralding probability or an empty field are not passed to it.
+    later entries stay NaN.  ``on_frame(i, unit, density, psi)``, when given,
+    is called with each sample's texture, density and orientation map ψ;
+    samples dropped for zero heralding probability or an empty field are not
+    passed to it.
     """
     sweep = list(sweep)
-    if len(sweep) < 5:
-        raise ValueError(f"sweep needs at least 5 samples, got {len(sweep)}")
-    thetas = np.array([a.theta for a in sweep])
-    alphas = np.array([a.alpha for a in sweep])
-    theta_varies = float(np.ptp(thetas)) > 1e-12
-    alpha_varies = float(np.ptp(alphas)) > 1e-12
-    if theta_varies == alpha_varies:
-        raise ValueError("sweep must vary exactly one of theta, alpha")
-    sweep_param = "theta" if theta_varies else "alpha"
-    values = tuple(float(v) for v in (thetas if theta_varies else alphas))
+    sweep_param, values = _sweep_axis(sweep)
     if grid is None:
         grid = GridSpec()
 
@@ -823,10 +827,11 @@ def track_dynamics(
         except (ZeroProbabilityError, EmptyFieldError):
             per_sample.append([])
             continue
+        psi = orientation_psi(unit)
         if on_frame is not None:
-            on_frame(i_sample, unit, density)
+            on_frame(i_sample, unit, density, psi)
         report = locate_quasiparticles(density, central_radius)
-        two_psi = 2.0 * orientation_psi(unit)
+        two_psi = 2.0 * psi
         per_sample.append(
             [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]
         )

@@ -27,6 +27,13 @@ def test_subspace_validation():
         BellSubspace("R", (0, 0))
 
 
+def test_subspace_rejects_non_integral_charges():
+    # (0, -2.5) used to be truncated to (0, -2)
+    with pytest.raises(TypeError, match="-2.5"):
+        BellSubspace("R", (0, -2.5))
+    assert BellSubspace("R", (0.0, -2.0)).pair == (0, -2)
+
+
 def test_ideal_sector_correlations(binary_state):
     # post-selected correlation is cos(theta_B - chi) at the listed settings
     res = chsh_parameter(binary_state)

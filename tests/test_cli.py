@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +17,8 @@ from qskyrm import (
     normalize_stokes,
     skyrmion_density,
 )
-from qskyrm.cli import _build_parser, main, resolve_config
+from qskyrm import cli, topology
+from qskyrm.cli import _OPTIONS, _build_parser, main, resolve_config
 from qskyrm.export import write_pgm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -95,6 +98,8 @@ def test_invalid_ladder_rejected(tmp_path, capsys):
         ({"tomography": {"total_per_setting": 99.9}}, "tomography.total_per_setting"),
         ({"seed": True}, "seed"),
         ({"tomography": {"total_per_setting": True}}, "tomography.total_per_setting"),
+        # "noiseless": true is the one way to skip count noise
+        ({"tomography": {"total_per_setting": None}}, "tomography.total_per_setting"),
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -130,6 +135,63 @@ def test_settings_reject_values_of_the_wrong_json_type(tmp_path, capsys, doc, ke
     assert code == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def wrong_values(kind):
+    """Config values of the wrong JSON type for a setting of ``kind``."""
+    if isinstance(kind, tuple):
+        return [5, "unknown"]
+    if kind is str or isinstance(kind, list):
+        return [5]
+    return ["1"]  # numbers, switches, and state.ell_a's charges
+
+
+WRONG = [(opt.key, raw) for opt in _OPTIONS for raw in wrong_values(opt.kind)]
+
+
+def config_doc(key, raw):
+    section, _, name = key.rpartition(".")
+    return {section: {name: raw}} if section else {name: raw}
+
+
+@pytest.mark.parametrize("key, raw", WRONG, ids=[f"{k}={r!r}" for k, r in WRONG])
+def test_each_setting_rejects_a_value_of_the_wrong_type(tmp_path, capsys, monkeypatch, key, raw):
+    # the output directory comes from the environment, so the output_dir row
+    # is checked too; nothing may be written before the value is rejected
+    out = tmp_path / "o"
+    monkeypatch.setenv("QSKYRM_OUTPUT_DIR", str(out))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config_doc(key, raw)))
+    assert main(["build-state", "--config", str(cfg)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_state_file_is_not_a_descriptor(tmp_path):
+    # open() takes an int as a file descriptor: it must never get one
+    with open(tmp_path / "held.txt", "w") as held:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"state": {"file": held.fileno()}}))
+        assert main(["build-state", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        os.fstat(held.fileno())  # still open
+
+
+@pytest.mark.parametrize("flag", ["--config", "--state", "--target"])
+def test_directory_input_is_missing_input(tmp_path, capsys, flag):
+    state_dir = tmp_path / "s"
+    assert main(["build-state", "--out", str(state_dir)]) == 0
+    argv = ["tomography", "--out", str(tmp_path / "o"), "--witnesses-only"]
+    argv += ["--state", str(state_dir / "state.json")]
+    capsys.readouterr()
+    assert main(argv + [flag, str(tmp_path)]) == 3
+    assert "missing input" in capsys.readouterr().err
+
+
+def test_constant_dynamics_sweep_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["dynamics", "--out", str(out), "--theta", "1,1,1,1,1"]) == 2
+    assert "sweep must vary exactly one of theta, alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integral_float_settings_are_integers(tmp_path):
@@ -305,6 +367,23 @@ def test_dynamics_frame_matches_direct_render(tmp_path):
         ).read_bytes()
 
 
+def test_dynamics_computes_each_orientation_once(tmp_path, monkeypatch):
+    # the psi rasters reuse the tracker's own orientation map
+    calls = []
+    psi = topology.orientation_psi
+
+    def counting(unit):
+        calls.append(1)
+        return psi(unit)
+
+    monkeypatch.setattr(topology, "orientation_psi", counting)
+    monkeypatch.setattr(cli, "orientation_psi", counting)
+    argv = ["dynamics", "--out", str(tmp_path), "--grid-n", "48", "--theta-fixed", "1.26"]
+    assert main(argv + ["--alpha", "0,0.9,1.8,2.7,3.6"]) == 0
+    assert (tmp_path / "frame_004_psi.pgm").exists()
+    assert len(calls) == 5
+
+
 def test_dynamics_unheralded_sample_is_numerical_failure(tmp_path, capsys):
     # with the plate off, heralding at the south pole has zero probability
     code = main(
@@ -443,10 +522,12 @@ def without(key):
          "'amplitudes'"),
         (lambda doc: dict(doc, oam_basis=5), "'oam_basis'"),
         (lambda doc: dict(doc, basis_order=3), "'basis_order'"),
+        # a non-integral charge used to be truncated: -2.5 loaded as -2
+        (lambda doc: dict(doc, oam_basis=[0, -2.5, -4]), "'oam_basis'"),
     ],
     ids=["no-kind", "no-basis-order", "no-oam-basis", "no-amplitudes", "unknown-kind",
          "not-an-object", "nan-amplitude", "bare-number-amplitudes", "scalar-oam-basis",
-         "scalar-basis-order"],
+         "scalar-basis-order", "fractional-oam-basis"],
 )
 def test_malformed_state_file_is_numerical_failure(tmp_path, capsys, edit, message):
     state_dir = tmp_path / "s"
@@ -554,3 +635,13 @@ def test_config_hash_is_pinned(argv, expected):
     cfg = resolve_config(_build_parser().parse_args(argv))
     assert cfg.hash() == expected
     assert cfg.meta()["config_sha256"] == expected
+
+
+def test_module_runs_as_a_script(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "qskyrm.cli", "bell", "--config",
+            os.path.join(CONFIG_DIR, "ideal_bell.json"), "--out", str(tmp_path / "o")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "o" / "bell.json").exists()

@@ -150,6 +150,29 @@ def test_projection_rejects_bool_charges(ell_a):
         build_spin_skyrmion_state(ell_a, QPlateParams(1.0, 0.5))
 
 
+# each of these used to be truncated by int(): (1.5, -2) became (1, -2)
+@pytest.mark.parametrize("build, named", [
+    (lambda: OamBasis((1.5, -2)), "1.5"),
+    (lambda: balanced_switch_state((0, -3.5, -6)), "-3.5"),
+    (lambda: spdc_pair_state((0.7, 2)), "0.7"),
+    (lambda: build_spin_skyrmion_state({1.5: 1.0}, QPlateParams(1.0, 0.5)), "1.5"),
+    (lambda: build_spin_skyrmion_state([(1.5, 1.0)], QPlateParams(1.0, 0.5)), "1.5"),
+    (lambda: build_spin_skyrmion_state([("1", 1.0)], QPlateParams(1.0, 0.5)), "'1'"),
+    (lambda: SpdcSpectrum({"2": 1.0}), "'2'"),
+], ids=["basis", "balanced", "spdc", "mapping", "pair", "string", "spectrum"])
+def test_charges_reject_non_integers(build, named):
+    with pytest.raises(TypeError, match=f"charge must be an integer, got {named}"):
+        build()
+
+
+def test_integral_float_charges_are_integers():
+    assert OamBasis((0, -2.0, np.float64(-4.0))).ells == (0, -2, -4)
+    assert all(type(l) is int for l in OamBasis((0, -2.0)).ells)
+    assert balanced_switch_state((0.0, -3, -6.0)).space.oam_basis("B").ells == (0, -3, -6)
+    built = build_spin_skyrmion_state([-0.0], QPlateParams(1.0, 0.5))
+    assert built.space.oam_basis("B").ells == (0, -2, -4)
+
+
 def test_pipeline_matches_explicit_ladder(binary_state):
     built = build_spin_skyrmion_state(0, QPlateParams(1.0, 0.5))
     assert built.space.oam_basis("B").ells == (0, -2, -4)

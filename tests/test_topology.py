@@ -319,8 +319,9 @@ def test_on_frame_sees_each_kept_sample():
     sweep = [ProjectionAngles(t, 0.0) for t in (0.0, 0.8, 1.6, 2.4, math.pi)]
     seen = []
 
-    def on_frame(i, unit, density):
+    def on_frame(i, unit, density, psi):
         np.testing.assert_array_equal(density.sigma, skyrmion_density(unit).sigma)
+        np.testing.assert_array_equal(psi, topology.orientation_psi(unit))
         seen.append(i)
 
     trace = track_dynamics(state, sweep, grid, on_frame=on_frame)
