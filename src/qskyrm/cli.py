@@ -56,6 +56,7 @@ from .hilbert import (
     load_state,
     save_state,
     state_to_dict,
+    _charge,
 )
 from .modes import GridSpec
 from .stokesfield import conditional_stokes, normalize_stokes, orientation_psi
@@ -196,23 +197,34 @@ def _alpha(value: float) -> float:
     return ProjectionAngles(0.0, _snap_angle(value, 2.0 * math.pi)).alpha
 
 
-def _is_charge(raw) -> bool:
-    return isinstance(raw, int) and not isinstance(raw, bool)
+def _charge_or_none(raw) -> int | None:
+    """``raw`` as the OAM charge it names (``hilbert._charge``: an integral
+    float counts, a bool does not), or None when it names none."""
+    try:
+        return _charge(raw)
+    except TypeError:
+        return None
 
 
 def _parse_projection(raw) -> list:
     """state.ell_a's file form: a bare charge, or a list of charges and
     ``[charge, re(, im)]`` entries; its flag form is a list of charges."""
-    if _is_charge(raw):
-        return [raw]
+    charge = _charge_or_none(raw)
+    if charge is not None:
+        return [charge]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"must be a charge or a nonempty list, got {raw!r}")
     entries = []
     for item in raw:
-        if _is_charge(item):
-            entries.append(item)
-        elif isinstance(item, list) and len(item) in (2, 3) and _is_charge(item[0]):
-            entries.append((item[0], complex(*(_typed(float, part) for part in item[1:]))))
+        charge = _charge_or_none(item)
+        if charge is not None:
+            entries.append(charge)
+        elif (
+            isinstance(item, list)
+            and len(item) in (2, 3)
+            and (charge := _charge_or_none(item[0])) is not None
+        ):
+            entries.append((charge, complex(*(_typed(float, part) for part in item[1:]))))
         else:
             raise ConfigError(f"entries must be charges or [charge, re(, im)], got {item!r}")
     return entries

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from typing import Iterable, Mapping, Sequence
 
@@ -91,14 +92,20 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def write_pgm(path, array: np.ndarray) -> None:
     """16-bit P5 graymap scaled to (min, max); the sidecar records the scale."""
-    arr = np.asarray(array, dtype=float)
+    # C order: min and max then reduce in the order of the finite-entry copy
+    arr = np.asarray(array, dtype=float, order="C")
     if arr.ndim != 2:
         raise ValueError("raster arrays must be 2-D")
-    finite = np.isfinite(arr)
-    lo = float(arr[finite].min()) if finite.any() else 0.0
-    hi = float(arr[finite].max()) if finite.any() else 0.0
+    # min and max are finite exactly when every entry is; only then can the
+    # finite mask and its copies be skipped
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        finite = np.isfinite(arr)
+        lo = float(arr[finite].min()) if finite.any() else 0.0
+        hi = float(arr[finite].max()) if finite.any() else 0.0
+        arr = np.where(finite, arr, lo)
     if hi > lo:
-        scaled = (np.where(finite, arr, lo) - lo) / (hi - lo)
+        scaled = (arr - lo) / (hi - lo)
     else:
         scaled = np.zeros_like(arr)
     pixels = np.round(scaled * 65535.0).astype(">u2")

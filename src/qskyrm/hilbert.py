@@ -121,13 +121,17 @@ class OamBasis:
         return len(self.ells)
 
     def index(self, ell: int) -> int:
+        """Position of charge ``ell``; a charge outside the basis is a
+        :class:`BasisMismatchError`, a value that is no charge (a bool, say)
+        a TypeError, never a match by equality."""
+        ell = _charge(ell)
         try:
             return self.ells.index(ell)
         except ValueError:
             raise BasisMismatchError(f"charge {ell} not in basis {self.ells}") from None
 
     def __contains__(self, ell: int) -> bool:
-        return ell in self.ells
+        return _charge(ell) in self.ells
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,13 @@ def normalize_stokes(
     ``intensity_floor`` is relative: a cell is resolved when its S0 reaches
     ``intensity_floor * max(S0)``.  Raises :class:`EmptyFieldError` when no
     cell clears the floor.
+
+    Layout rule: when every cell is resolved, ``s`` is a C-contiguous
+    (3, ny, nx) array; otherwise it is a (3, ny, nx) view of (ny, nx, 3)
+    memory, and only the dark cells are copied from the nearest-resolved
+    indices.  :func:`~qskyrm.topology.skyrmion_density`'s ``einsum`` sums
+    in an order set by that layout, so it fixes the last digits of every
+    density.
     """
     if not 0.0 < intensity_floor <= 1.0:
         raise ValueError(f"intensity_floor must lie in (0, 1], got {intensity_floor}")
@@ -193,13 +200,20 @@ def normalize_stokes(
     if not mask.any():
         raise EmptyFieldError("no cell clears the intensity floor")
 
-    safe = np.where(mask, s0, 1.0)
-    s = np.where(mask[np.newaxis], field.values[1:] / safe[np.newaxis], 0.0)
-    if not mask.all():
-        iy, ix = distance_transform_edt(
-            ~mask, return_distances=False, return_indices=True
-        )
-        s = s[:, iy, ix]
+    dark = ~mask
+    if not dark.any():
+        return UnitStokesField(field.grid, field.values[1:] / s0, mask, s0, intensity_floor)
+    # divide straight into (ny, nx, 3) memory, then overwrite each dark cell
+    # (whatever S/S0 gave there) with its nearest resolved cell
+    filled = np.empty(field.grid.shape + (3,))
+    s = np.moveaxis(filled, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(field.values[1:], s0, out=s)
+    iy, ix = distance_transform_edt(dark, return_distances=False, return_indices=True)
+    # each cell's three components move as one 24-byte record
+    cells = filled.view(np.dtype((np.void, 3 * filled.itemsize))).reshape(-1)
+    to = np.flatnonzero(dark)
+    cells[to] = cells[iy.ravel()[to] * dark.shape[1] + ix.ravel()[to]]
     return UnitStokesField(field.grid, s, mask, s0, intensity_floor)
 
 

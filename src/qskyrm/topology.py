@@ -272,6 +272,12 @@ class DynamicsTrace:
 # ---------------------------------------------------------------------------
 
 
+def _difference(hi: np.ndarray, lo: np.ndarray, step: float, out: np.ndarray) -> None:
+    """``(hi - lo) / step`` into ``out``, rounded as ``np.gradient`` rounds it."""
+    np.subtract(hi, lo, out=out)
+    out /= step
+
+
 def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
     """Pointwise wrapping density of a unit Stokes field.
 
@@ -280,7 +286,8 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
 
     The grid is evaluated in blocks of rows (:func:`~qskyrm.modes.row_strips`)
     with one halo row on each side for the y derivative, so the temporaries
-    stay cache-sized.  Every cell gets the same central differences, the same
+    stay cache-sized; the derivatives go into strip buffers allocated once
+    per call.  Every cell gets ``np.gradient``'s central differences, the same
     ``np.cross`` terms and the same ``einsum`` contraction as a whole-grid
     evaluation, so ``sigma`` is bit-identical to it.  ``einsum`` picks the
     order of its three-term sum from its operands' memory layout, so the
@@ -301,16 +308,31 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
                 f"{_MIN_FINITE_FRACTION:.0%}"
             )
     grid = field.grid
+    dx, dy = grid.dx, grid.dy
     ny, nx = grid.shape
     sigma = np.empty((ny, nx))
+    grad_x = np.empty((3, ROW_STRIP, nx))
+    grad_y = np.empty((3, ROW_STRIP, nx))
     cross = np.empty((ROW_STRIP, nx, 3))
     tmp = np.empty((ROW_STRIP, nx))
     for r0, r1 in row_strips(ny):
         rows = r1 - r0
         strip = s[:, r0:r1]
-        h0 = max(r0 - 1, 0)
-        sx = np.gradient(strip, grid.dx, axis=2)
-        sy = np.gradient(s[:, h0 : min(r1 + 1, ny)], grid.dy, axis=1)[:, r0 - h0 : r1 - h0]
+        sx, sy = grad_x[:, :rows], grad_y[:, :rows]
+        # np.gradient(s, dx, axis=2) on the strip, term for term: central
+        # differences over 2 dx inside, one-sided over dx at the two edges
+        _difference(strip[..., 2:], strip[..., :-2], 2.0 * dx, sx[..., 1:-1])
+        _difference(strip[..., 1], strip[..., 0], dx, sx[..., 0])
+        _difference(strip[..., -1], strip[..., -2], dx, sx[..., -1])
+        # np.gradient(s, dy, axis=1) on the strip's rows: central inside the
+        # grid (reading the rows either side of the strip), one-sided on the
+        # grid's first and last row
+        a, b = max(r0, 1), min(r1, ny - 1)
+        _difference(s[:, a + 1 : b + 1], s[:, a - 1 : b - 1], 2.0 * dy, sy[:, a - r0 : b - r0])
+        if r0 == 0:
+            _difference(s[:, 1], s[:, 0], dy, sy[:, 0])
+        if r1 == ny:
+            _difference(s[:, -1], s[:, -2], dy, sy[:, -1])
         c, t = cross[:rows], tmp[:rows]
         # np.cross(sx, sy, axis=0), term for term
         np.multiply(sx[1], sy[2], out=c[..., 0])
@@ -608,6 +630,22 @@ def sphere_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _cap_crop(s3: np.ndarray, pad: tuple[int, int]) -> tuple[slice, slice] | None:
+    """Bounding box of the cells with s3 above the cap level (less 1e-9),
+    widened by ``pad`` cells per axis and clipped to the grid; None when no
+    cell comes that close to the cap."""
+    near = s3 > _CAP_LEVEL - 1e-9
+    rows = np.flatnonzero(near.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(near.any(axis=0))
+    (ny, nx), (py, px) = s3.shape, pad
+    return (
+        slice(max(int(rows[0]) - py, 0), min(int(rows[-1]) + 1 + py, ny)),
+        slice(max(int(cols[0]) - px, 0), min(int(cols[-1]) + 1 + px, nx)),
+    )
+
+
 def locate_quasiparticles(
     density: SkyrmionDensityField,
     central_radius: float | None = None,
@@ -624,6 +662,16 @@ def locate_quasiparticles(
     Satellites need |charge| >= 0.5 to count; anything else, tails included,
     is attributed to the central charge.  A field with no cap cells at all
     yields an empty report (count 0, everything central), not an error.
+
+    Smoothing, labelling, the nearest-component transform and the region
+    sums run on a crop: the bounding box of the cells with s3 above the cap
+    level less 1e-9, widened on each axis by twice the kernel's radius
+    ``int(4 * width + 0.5)`` cells and clipped to the grid.  Outside it no
+    smoothed value can reach the level; inside it, cells a radius from an
+    edge see the whole-grid footprint, and cells nearer an edge read only
+    values below the level.  Raster order within the crop is the grid's, so
+    component numbers, each region's cells and the order of every sum are
+    the whole grid's, and the report is bit-identical to a whole-grid run.
     """
     grid = density.grid
     if central_radius is None:
@@ -632,34 +680,40 @@ def locate_quasiparticles(
         raise UnsupportedStateError(
             "density carries no spin field; build it with skyrmion_density"
         )
-    sigma = density.sigma
     area = grid.cell_area
     total = skyrmion_number(density)
 
     s3 = density.spin[2]
+    labels = np.zeros(grid.shape, dtype=int)
     # keep the kernel's physical width tied to the beam, not the grid
     width = _SMOOTH_WAIST * grid.waist
     kernel = (max(1.0, width / grid.dy), max(1.0, width / grid.dx))
-    smoothed = gaussian_filter(s3, sigma=kernel) > _CAP_LEVEL
+    # gaussian_filter's default truncation: radius int(4 * width + 0.5)
+    crop = _cap_crop(s3, tuple(2 * int(4.0 * k + 0.5) for k in kernel))
+    if crop is None:
+        return QuasiparticleReport(0, (), total, total, labels)
+    s3c = s3[crop]
+    smoothed = gaussian_filter(s3c, sigma=kernel) > _CAP_LEVEL
     seeds, n_islands = _connected_label(smoothed, structure=np.ones((3, 3), dtype=bool))
     if n_islands == 0:
-        return QuasiparticleReport(0, (), total, total, seeds)
+        return QuasiparticleReport(0, (), total, total, labels)
     # identity from the smoothed components, extent from the raw preimage:
     # every raw cap cell joins its nearest component so the charge integral
     # sees the full cap coverage regardless of resolution
     iy_n, ix_n = distance_transform_edt(
         seeds == 0, return_distances=False, return_indices=True
     )
-    labels = np.where(s3 > _CAP_LEVEL, seeds[iy_n, ix_n], 0)
-
-    xx, yy = _meshgrid(grid)
+    labels_c = np.where(s3c > _CAP_LEVEL, seeds[iy_n, ix_n], 0)
+    labels[crop] = labels_c
+    sigma = density.sigma[crop]
+    xx, yy = (m[crop] for m in _meshgrid(grid))
     # the beam axis falls between the four innermost cells of an even grid
     iy, ix = grid.ny // 2, grid.nx // 2
     axis_labels = set(labels[iy - 1 : iy + 1, ix - 1 : ix + 1].ravel()) - {0}
     charge_scale = 2.0 / (1.0 - _CAP_LEVEL)
     regions: list[QuasiparticleRegion] = []
     for lab in range(1, n_islands + 1):
-        cells = labels == lab
+        cells = labels_c == lab
         if not cells.any():
             # smoothing created the seed but every raw cap cell was nearer
             # to another component; nothing to integrate

@@ -113,6 +113,25 @@ def test_integer_settings_reject_non_integers(tmp_path, capsys, doc, key):
 
 
 @pytest.mark.parametrize(
+    "ell_a",
+    [-2.0, [-2.0], [0, -2.0], [[-2.0, 1.0]], [[-2.0, 1.0, 0.0], 0.0]],
+    ids=json.dumps,
+)
+def test_projection_takes_integral_float_charges(tmp_path, ell_a):
+    # state.ell_a's charges read like every other integer setting: -2.0 is -2
+    def built(raw, name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"state": {"ell_a": raw}}))
+        assert main(["build-state", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        state = read_json(tmp_path / name / "state.json")
+        del state["meta"]  # the config hash reads the file's own numbers
+        return state
+
+    exact = json.loads(json.dumps(ell_a).replace(".0", ""))
+    assert built(ell_a, "float") == built(exact, "int")
+
+
+@pytest.mark.parametrize(
     "doc, key",
     [
         ({"grid": {"half_extent": "4"}}, "grid.half_extent"),
@@ -122,6 +141,8 @@ def test_integer_settings_reject_non_integers(tmp_path, capsys, doc, key):
         ({"sweep": {"theta_fixed": "1.0"}}, "sweep.theta_fixed"),
         ({"analysis": {"intensity_floor": "1e-6"}}, "analysis.intensity_floor"),
         ({"state": {"ell_a": [True]}}, "state.ell_a"),
+        ({"state": {"ell_a": [-2.5]}}, "state.ell_a"),
+        ({"state": {"ell_a": [[1.5, 1.0]]}}, "state.ell_a"),
         ({"tomography": {"noiseless": "no"}}, "tomography.noiseless"),
         ({"tomography": {"witnesses_only": 1}}, "tomography.witnesses_only"),
     ],

@@ -77,3 +77,56 @@ def test_writers_are_byte_stable(tmp_path):
     write_json(p1, doc)
     write_json(p2, doc)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_pgm(array) -> tuple[bytes, dict]:
+    """Raster and sidecar from the finite mask on every call: the scaling
+    write_pgm keeps to the byte."""
+    arr = np.asarray(array, dtype=float)
+    finite = np.isfinite(arr)
+    lo = float(arr[finite].min()) if finite.any() else 0.0
+    hi = float(arr[finite].max()) if finite.any() else 0.0
+    if hi > lo:
+        scaled = (np.where(finite, arr, lo) - lo) / (hi - lo)
+    else:
+        scaled = np.zeros_like(arr)
+    pixels = np.round(scaled * 65535.0).astype(">u2")
+    height, width = arr.shape
+    return f"P5\n{width} {height}\n65535\n".encode("ascii") + pixels.tobytes(), {
+        "min": lo, "max": hi, "width": width, "height": height,
+        "maxval": 65535, "byte_order": "big-endian",
+    }
+
+
+def rasters():
+    rng = np.random.default_rng(7)
+    smooth = np.sin(np.linspace(-3.0, 3.0, 35))[:, None] * np.cos(np.linspace(0, 2, 24))
+    holes = smooth.copy()
+    holes[3, 4], holes[10, 0], holes[-1, -1] = np.nan, np.inf, -np.inf
+    signed_zeros = np.zeros((6, 5))
+    signed_zeros[::2] = -0.0
+    signed_zeros[1, 1] = 2.5
+    return {
+        "finite": rng.normal(size=(17, 23)),
+        "smooth": smooth,
+        "transposed": smooth.T,
+        "nan_inf": holes,
+        "all_nan": np.full((4, 6), np.nan),
+        "only_inf": np.array([[np.inf, -np.inf], [np.inf, np.inf]]),
+        "constant": np.full((5, 7), -1.25),
+        "signed_zeros": signed_zeros,
+        "zero_min": np.where(signed_zeros == 2.5, 2.5, -0.0),
+        "integers": np.arange(20).reshape(4, 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(rasters()))
+def test_write_pgm_bytes_match_masked_scaling(tmp_path, name):
+    array = rasters()[name]
+    path = tmp_path / "r.pgm"
+    write_pgm(path, array)
+    blob, sidecar = reference_pgm(array)
+    assert path.read_bytes() == blob
+    want = tmp_path / "want.json"
+    write_json(want, sidecar)
+    assert (tmp_path / "r.pgm.json").read_bytes() == want.read_bytes()

@@ -144,6 +144,25 @@ def test_amplitude_rejects_unknown_labels(binary_state, labels, named):
         binary_state.amplitude()
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1", 1.5, None])
+def test_basis_lookup_takes_only_charges(binary_state, value):
+    # True == 1, so a plain tuple lookup would find charge 1 by equality
+    basis = OamBasis((1, 0, -2))
+    with pytest.raises(TypeError):
+        basis.index(value)
+    with pytest.raises(TypeError):
+        _ = value in basis
+    with pytest.raises(TypeError):
+        binary_state.amplitude("R", "R", value)
+
+
+def test_basis_lookup_reads_integral_floats(binary_state):
+    basis = OamBasis((1, 0, -2))
+    assert basis.index(-2.0) == basis.index(np.int64(-2)) == 2
+    assert 1.0 in basis and 3.0 not in basis
+    assert binary_state.amplitude("R", "L", -2.0) == binary_state.amplitude("R", "L", -2)
+
+
 @pytest.mark.parametrize("ell_a", [True, np.bool_(False), [0, True], {True: 1.0}, [(False, 1.0)]])
 def test_projection_rejects_bool_charges(ell_a):
     with pytest.raises(TypeError, match="True|False"):

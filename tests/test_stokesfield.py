@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from qskyrm import (
     EmptyFieldError,
+    GridSpec,
     OamBasis,
     ProjectionAngles,
     Space,
@@ -119,6 +121,37 @@ def test_normalize_masks_dark_skirt(small_grid):
     assert unit.mask.any() and not unit.mask.all()
     # filled cells copy their nearest resolved neighbour: |s| = 1 everywhere
     np.testing.assert_allclose(np.linalg.norm(unit.s, axis=0), 1.0, atol=1e-12)
+
+
+def whole_grid_fill(field, floor):
+    """s/S0 on every cell, then every cell gathered from the nearest
+    resolved one: the fill normalize_stokes replaced."""
+    mask = field.s0 >= floor * field.s0.max()
+    safe = np.where(mask, field.s0, 1.0)
+    s = np.where(mask[np.newaxis], field.values[1:] / safe[np.newaxis], 0.0)
+    if not mask.all():
+        iy, ix = distance_transform_edt(~mask, return_distances=False, return_indices=True)
+        s = s[:, iy, ix]
+    return s
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0), (1.26, 0.3), (0.5 * math.pi, 2.0)])
+@pytest.mark.parametrize("floor", [1e-3, 1e-6, 1e-300])
+def test_normalize_fill_bytes_and_layout(binary_state, angles, floor):
+    # skyrmion_density's einsum sums in the order its operands' layout sets,
+    # so the fill must keep both the values and the memory order
+    grid = GridSpec(nx=96, ny=80)
+    photon, _ = herald_polarization(binary_state, ProjectionAngles(*angles))
+    field = stokes_of_photon_state(photon, grid)
+    unit = normalize_stokes(field, floor)
+    want = whole_grid_fill(field, floor)
+    assert np.array_equal(unit.s, want)
+    assert unit.s.strides == want.strides
+    if unit.mask.all():
+        assert unit.s.flags.c_contiguous
+    else:
+        # a (3, ny, nx) view of (ny, nx, 3) memory
+        assert np.moveaxis(unit.s, 0, -1).flags.c_contiguous
 
 
 def test_normalize_floor_validation(small_grid):
