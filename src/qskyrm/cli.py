@@ -256,7 +256,8 @@ _OPTIONS = (
     _Option("grid.n", 512, "--grid-n", "grid cells per side", int, field="grid_n"),
     _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)", float),
     _Option("grid.waist", 1.0, "--waist", "mode waist", float),
-    _Option("analysis.intensity_floor", 1e-6, "--floor", "relative intensity floor", float,
+    _Option("analysis.intensity_floor", 1e-6, "--floor",
+            "relative intensity floor of stokes.json's resolved_fraction", float,
             _require(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {}")),
     _Option("state.file", None, "--state", "input state file (overrides built state)", str,
             field="state_file"),
@@ -361,16 +362,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     _apply_flag_overrides(merged, args)
 
     try:
-        values = {}
+        # the hash reads each setting as its kind takes it, so a charge or a
+        # count written 64.0 hashes as 64
+        values, semantic = {}, {"command": args.command}
         for opt in _OPTIONS:
             holder, name = _slot(merged, opt.key)
             raw = holder[name]
             try:
-                values[opt.field or name] = (
-                    None if raw is None and opt.default is None else opt.rule(_typed(opt.kind, raw))
-                )
+                typed = None if raw is None and opt.default is None else _typed(opt.kind, raw)
+                values[opt.field or name] = None if typed is None else opt.rule(typed)
             except ConfigError as exc:
                 raise ConfigError(f"{opt.key} {exc}") from None
+            if opt.key != "output_dir":
+                slot, name = _slot(semantic, opt.key)
+                slot[name] = typed
         values["out_dir"] = values["out_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "qskyrm-out"
         n = values.pop("grid_n")
         grid = GridSpec(n, n, values.pop("half_extent"), values.pop("waist"))
@@ -379,8 +384,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if pair is not None or values["werner_p"] is not None:
             BellSubspace(values["pol_b"], pair if pair is not None else (0, -2))
 
-        semantic = {k: v for k, v in merged.items() if k != "output_dir"}
-        semantic["command"] = args.command
         cfg = RunConfig(command=args.command, grid=grid, semantic=semantic, **values)
         if args.command == "dynamics":
             if (cfg.theta is None) == (cfg.alpha is None):
@@ -444,7 +447,7 @@ def _plateaus(sphere_map) -> list[int]:
 
 def cmd_sphere(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
-    smap = sphere_sweep(state, cfg.theta, cfg.alpha, cfg.grid, cfg.intensity_floor)
+    smap = sphere_sweep(state, cfg.theta, cfg.alpha, cfg.grid)
     header, rows = sphere_rows(smap)
     write_csv(_out(cfg, "sphere.csv"), header, rows)
     plateaus = _plateaus(smap)
@@ -468,7 +471,7 @@ def cmd_sphere(cfg: RunConfig) -> None:
 def _frame(cfg: RunConfig, state: State, angles: ProjectionAngles):
     """Unit field and density of photon B heralded at ``angles``."""
     photon, _ = herald_polarization(state, angles)
-    return photon_frame(photon, cfg.grid, cfg.intensity_floor)
+    return photon_frame(photon, cfg.grid)
 
 
 def cmd_skyrmion_number(cfg: RunConfig) -> None:
@@ -493,8 +496,8 @@ def cmd_stokes_field(cfg: RunConfig) -> None:
     angles = cfg.fixed_angles()
     fieldmap = conditional_stokes(state, angles, cfg.grid)
     unit = normalize_stokes(fieldmap, cfg.intensity_floor)
-    for idx, name in enumerate(("s0", "s1", "s2", "s3")):
-        write_pgm(_out(cfg, f"stokes_{name}.pgm"), fieldmap.values[idx])
+    for name in ("s0", "s1", "s2", "s3"):
+        write_pgm(_out(cfg, f"stokes_{name}.pgm"), getattr(fieldmap, name))
     write_pgm(_out(cfg, "stokes_psi.pgm"), orientation_psi(unit))
     write_json(
         _out(cfg, "stokes.json"),
@@ -559,9 +562,7 @@ def cmd_dynamics(cfg: RunConfig) -> None:
         write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), psi)
         rendered.add(i)
 
-    trace = track_dynamics(
-        state, sweep, cfg.grid, cfg.central_radius, cfg.intensity_floor, on_frame=render
-    )
+    trace = track_dynamics(state, sweep, cfg.grid, cfg.central_radius, on_frame=render)
     header, rows = trace_rows(trace)
     write_csv(_out(cfg, "dynamics.csv"), header, rows)
     write_json(

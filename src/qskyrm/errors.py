@@ -43,7 +43,7 @@ class InsufficientCoverageError(QskyrmError, ValueError):
 
 
 class EmptyFieldError(QskyrmError, ValueError):
-    """Every grid point fell below the intensity floor."""
+    """The field carries no intensity on any grid point."""
 
 
 class ConfigError(QskyrmError, ValueError):

@@ -12,9 +12,16 @@ grid that resolves the ring (half extent comfortably beyond the peak radius
 ``w sqrt(|l|/2)``) the quadrature sum ``sum |LG|^2 dA`` reproduces that to
 high accuracy, which the tests pin down.
 
+The Gaussian exp(-r^2/w^2) is common to every mode, so it cancels from any
+ratio of their superpositions (a polarization texture S/S0, say).  The cached
+profiles of :func:`mode_stack` leave it out: N_l/w (sqrt(2) r/w)^|l|
+exp(i l phi), with N_l = sqrt(2/(pi |l|!)), which stays representable out
+to the window's edge where the full mode underflows.  :func:`lg_mode` puts
+the Gaussian back; intensities take its square, exp(-2 r^2/w^2), per grid.
+
 Grids are cell centered: for ``nx`` columns over ``[-half_extent,
 half_extent]`` the sample abscissae are ``(i + 0.5 - nx/2) * dx``.  With even
-``nx`` no sample sits exactly on the vortex core.  Mode arrays are cached per
+``nx`` no sample sits exactly on the vortex core.  Profiles are cached per
 (charges, grid) and returned read-only; copy before mutating.
 
 Per-frame passes over a grid (Stokes synthesis, skyrmion density) walk it in
@@ -117,6 +124,7 @@ def _log_norm(m: int) -> float:
 
 @lru_cache(maxsize=256)
 def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
+    """Envelope-free profile of charge ``ell``: the mode over exp(-r^2/w^2)."""
     r, phi = polar_coords(grid)
     w = grid.waist
     m = abs(ell)
@@ -124,8 +132,7 @@ def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
     scaled = math.sqrt(2.0) * r / w
     with np.errstate(divide="ignore"):
         log_radial = np.where(scaled > 0.0, m * np.log(np.where(scaled > 0.0, scaled, 1.0)), 0.0)
-    log_amp = log_pref + log_radial - (r / w) ** 2
-    amp = np.exp(log_amp)
+    amp = np.exp(log_pref + log_radial)
     if m > 0:
         amp = np.where(r > 0.0, amp, 0.0)  # core is dark for any vortex
     field = amp * np.exp(1j * ell * phi)
@@ -133,12 +140,20 @@ def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
     return field
 
 
+@lru_cache(maxsize=64)
+def _intensity_envelope(grid: GridSpec) -> np.ndarray:
+    """exp(-2 r^2 / w^2), the Gaussian intensity factor every mode shares,
+    shape (ny, nx), read-only."""
+    r, _ = polar_coords(grid)
+    envelope = np.exp(-2.0 * (r / grid.waist) ** 2)
+    envelope.setflags(write=False)
+    return envelope
+
+
 def lg_mode(ell: int, grid: GridSpec) -> np.ndarray:
-    """Complex mode profile of charge ``ell`` on ``grid``, shape (ny, nx)."""
-    ell = int(ell)
-    if abs(ell) > _MAX_CHARGE:
-        raise ValueError(f"|ell| is capped at {_MAX_CHARGE}, got {ell}")
-    return _lg_mode_cached(ell, grid)
+    """Unit-power mode profile of charge ``ell`` on ``grid``, shape (ny, nx)."""
+    r, _ = polar_coords(grid)
+    return mode_stack((ell,), grid)[0] * np.exp(-((r / grid.waist) ** 2))
 
 
 @lru_cache(maxsize=64)
@@ -149,7 +164,8 @@ def _mode_stack_cached(ells: tuple[int, ...], grid: GridSpec) -> np.ndarray:
 
 
 def mode_stack(ells: Sequence[int], grid: GridSpec) -> np.ndarray:
-    """Stack of mode profiles, shape (len(ells), ny, nx), read-only."""
+    """Stack of envelope-free mode profiles, shape (len(ells), ny, nx),
+    read-only: each is its :func:`lg_mode` over exp(-r^2/w^2)."""
     ells = tuple(int(l) for l in ells)
     for l in ells:
         if abs(l) > _MAX_CHARGE:

@@ -10,30 +10,33 @@ each sample::
 
 with ``P(r) = sum_k E_k(r) E_k(r)^dag`` summed over the state's ket ensemble
 (:meth:`State.kets`), where ``E_k = (E_R, E_L)`` is the field of ket k: one
-term for a pure state, one per positive eigenvalue of a density matrix.  For
-pure states the reduced vector ``s = (S1, S2, S3)/S0`` has unit length
-wherever S0 > 0; mixed states give |s| <= 1.  The maps are synthesized one
-ket and one block of grid rows (:func:`~qskyrm.modes.row_strips`) at a
-time, so the complex fields stay cache-sized; each cell sees the same
-arithmetic, in the same ket order, as a whole-grid synthesis.
+term for a pure state, one per positive eigenvalue of a density matrix.  The
+maps are synthesized one ket and one block of grid rows
+(:func:`~qskyrm.modes.row_strips`) at a time, so the complex fields stay
+cache-sized; each cell sees the same arithmetic, in the same ket order, as a
+whole-grid synthesis.
 
-Topology routines need ``s`` defined on the whole grid, so
-:func:`normalize_stokes` fills the cells below an intensity floor (relative
-to the grid's S0 maximum) with the value of the nearest resolved cell.  That
-freezes ``s`` along the outward direction in the dark skirt, so the fill
-region carries essentially no topological density of its own.
+Every mode shares the Gaussian exp(-r^2/w^2), so the synthesis runs on the
+envelope-free profiles (:func:`~qskyrm.modes.mode_stack`) and a
+:class:`StokesField` carries the common intensity factor exp(-2 r^2/w^2)
+beside them; its physical maps are the product.  The texture
+``s = (S1, S2, S3)/S0`` (:func:`normalize_stokes`) does not depend on the
+factor, and off the envelope no cell of the window underflows, so s is
+defined on every cell where some ket's field is nonzero: unit length for a
+pure photon, |s| <= 1 for a mixed one.  An intensity floor on the physical
+S0 only marks which cells a detector would resolve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
-from .errors import EmptyFieldError, UnsupportedStateError
+from .errors import EmptyFieldError, InsufficientCoverageError, UnsupportedStateError
 from .hilbert import ProjectionAngles, State, herald_polarization
-from .modes import GridSpec, mode_stack, row_strips
+from .modes import GridSpec, _intensity_envelope, mode_stack, row_strips
 
 __all__ = [
     "StokesField",
@@ -49,33 +52,35 @@ DEFAULT_INTENSITY_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class StokesField:
-    """Raw Stokes maps on a grid: ``values`` is (4, ny, nx) = (S0, S1, S2, S3)."""
+    """Stokes maps on a grid, held envelope-free.
+
+    ``free`` is (4, ny, nx) = (S0, S1, S2, S3) of the envelope-free profiles,
+    ``envelope`` (ny, nx) the intensity factor they share; ``values`` and
+    ``s0``..``s3`` are the physical maps, their product.
+    """
 
     grid: GridSpec
-    values: np.ndarray
+    free: np.ndarray
+    envelope: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (4,) + self.grid.shape:
-            raise ValueError(f"expected shape {(4,) + self.grid.shape}, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        free = np.asarray(self.free, dtype=float)
+        envelope = np.asarray(self.envelope, dtype=float)
+        if free.shape != (4,) + self.grid.shape or envelope.shape != self.grid.shape:
+            raise ValueError(
+                f"expected shapes {(4,) + self.grid.shape} and {self.grid.shape}, "
+                f"got {free.shape} and {envelope.shape}"
+            )
+        for name, arr in (("free", free), ("envelope", envelope)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
-    def s0(self) -> np.ndarray:
-        return self.values[0]
+    def values(self) -> np.ndarray:
+        return self.free * self.envelope
 
-    @property
-    def s1(self) -> np.ndarray:
-        return self.values[1]
-
-    @property
-    def s2(self) -> np.ndarray:
-        return self.values[2]
-
-    @property
-    def s3(self) -> np.ndarray:
-        return self.values[3]
+    # one physical map each, without computing the other three
+    s0, s1, s2, s3 = (property(lambda self, k=k: self.free[k] * self.envelope) for k in range(4))
 
     @property
     def total_power(self) -> float:
@@ -84,11 +89,11 @@ class StokesField:
 
 @dataclass(frozen=True)
 class UnitStokesField:
-    """Reduced Stokes vector field, defined on every cell after nearest fill.
+    """Reduced Stokes vector field.
 
-    ``s`` has shape (3, ny, nx) holding (s1, s2, s3); ``mask`` marks the cells
-    whose intensity cleared the floor (the rest were filled from their nearest
-    resolved neighbour); ``s0`` keeps the raw intensity for reference.
+    ``s`` has shape (3, ny, nx) holding (s1, s2, s3), NaN on a cell where the
+    field vanishes.  ``mask`` marks the cells whose physical intensity ``s0``
+    cleared the floor.
     """
 
     grid: GridSpec
@@ -105,23 +110,11 @@ class UnitStokesField:
             raise ValueError(f"expected s shape {(3,) + self.grid.shape}, got {s.shape}")
         if mask.shape != self.grid.shape or s0.shape != self.grid.shape:
             raise ValueError("mask and s0 must match the grid shape")
-        for arr in (s, mask, s0):
+        for name, arr in (("s", s), ("mask", mask), ("s0", s0)):
             arr.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "s0", s0)
+            object.__setattr__(self, name, arr)
 
-    @property
-    def s1(self) -> np.ndarray:
-        return self.s[0]
-
-    @property
-    def s2(self) -> np.ndarray:
-        return self.s[1]
-
-    @property
-    def s3(self) -> np.ndarray:
-        return self.s[2]
+    s1, s2, s3 = (property(lambda self, k=k: self.s[k]) for k in range(3))
 
 
 def _photon_axes(state: State) -> tuple[int, int]:
@@ -150,19 +143,21 @@ def stokes_of_photon_state(state: State, grid: GridSpec) -> StokesField:
 
     # starts at -0.0, since -0.0 + x == x for every x, signed zeros included;
     # one ket's field at a time: a (rank, 2, ny, nx) field stack is slower;
-    # and that over row strips, so the (2, rows, nx) field stays cache-sized
-    values = np.full((4,) + grid.shape, -0.0)
-    for amp in kets:
-        for r0, r1 in row_strips(grid.ny):
-            u, v = np.tensordot(amp, modes[:, r0:r1], axes=(1, 0))  # (2, rows, nx)
-            pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
-            cross = 2.0 * np.conj(u) * v
-            out = values[:, r0:r1]
-            out[0] += pu + pv
-            out[1] += cross.real
-            out[2] += cross.imag
-            out[3] += pu - pv
-    return StokesField(grid, values)
+    # and that over row strips, so the (2, rows, nx) field stays cache-sized.
+    # An overflow leaves a non-finite cell, which normalize_stokes reports.
+    free = np.full((4,) + grid.shape, -0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp in kets:
+            for r0, r1 in row_strips(grid.ny):
+                u, v = np.tensordot(amp, modes[:, r0:r1], axes=(1, 0))  # (2, rows, nx)
+                pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
+                cross = 2.0 * np.conj(u) * v
+                out = free[:, r0:r1]
+                out[0] += pu + pv
+                out[1] += cross.real
+                out[2] += cross.imag
+                out[3] += pu - pv
+    return StokesField(grid, free, _intensity_envelope(grid))
 
 
 def conditional_stokes(
@@ -176,45 +171,31 @@ def conditional_stokes(
 def normalize_stokes(
     field: StokesField, intensity_floor: float = DEFAULT_INTENSITY_FLOOR
 ) -> UnitStokesField:
-    """Reduce to s = (S1, S2, S3)/S0 and fill dark cells from their nearest
-    resolved neighbour.
+    """Reduce to s = (S1, S2, S3)/S0 on every cell.
 
-    ``intensity_floor`` is relative: a cell is resolved when its S0 reaches
-    ``intensity_floor * max(S0)``.  Raises :class:`EmptyFieldError` when no
-    cell clears the floor.
+    s is read off the envelope-free maps, so no cell of the window is dark.
+    Where every ket's field vanishes (the centre cell of an odd grid, for a
+    photon with no l = 0 amplitude) s has no direction and is left NaN, so a
+    number over the field fails loudly.  ``intensity_floor`` is relative and
+    changes no s: ``mask`` marks the cells whose physical S0 reaches
+    ``intensity_floor * max(S0)``.
 
-    Layout rule: when every cell is resolved, ``s`` is a C-contiguous
-    (3, ny, nx) array; otherwise it is a (3, ny, nx) view of (ny, nx, 3)
-    memory, and only the dark cells are copied from the nearest-resolved
-    indices.  :func:`~qskyrm.topology.skyrmion_density`'s ``einsum`` sums
-    in an order set by that layout, so it fixes the last digits of every
-    density.
+    Raises :class:`EmptyFieldError` when the field carries no intensity, and
+    :class:`InsufficientCoverageError` when the envelope-free maps overflow.
     """
     if not 0.0 < intensity_floor <= 1.0:
         raise ValueError(f"intensity_floor must lie in (0, 1], got {intensity_floor}")
+    free = field.free
+    # S0 bounds |S1|, |S2| and |S3|: a finite S0 is a finite field
+    if not math.isfinite(float(free[0].max())):
+        raise InsufficientCoverageError("the Stokes field overflows on this window")
     s0 = field.s0
-    peak = float(s0.max()) if s0.size else 0.0
+    peak = float(s0.max())
     if not peak > 0.0:
         raise EmptyFieldError("field carries no intensity")
-    mask = s0 >= intensity_floor * peak
-    if not mask.any():
-        raise EmptyFieldError("no cell clears the intensity floor")
-
-    dark = ~mask
-    if not dark.any():
-        return UnitStokesField(field.grid, field.values[1:] / s0, mask, s0, intensity_floor)
-    # divide straight into (ny, nx, 3) memory, then overwrite each dark cell
-    # (whatever S/S0 gave there) with its nearest resolved cell
-    filled = np.empty(field.grid.shape + (3,))
-    s = np.moveaxis(filled, -1, 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(field.values[1:], s0, out=s)
-    iy, ix = distance_transform_edt(dark, return_distances=False, return_indices=True)
-    # each cell's three components move as one 24-byte record
-    cells = filled.view(np.dtype((np.void, 3 * filled.itemsize))).reshape(-1)
-    to = np.flatnonzero(dark)
-    cells[to] = cells[iy.ravel()[to] * dark.shape[1] + ix.ravel()[to]]
-    return UnitStokesField(field.grid, s, mask, s0, intensity_floor)
+    with np.errstate(invalid="ignore"):
+        s = free[1:] / free[0]
+    return UnitStokesField(field.grid, s, s0 >= intensity_floor * peak, s0, intensity_floor)
 
 
 def orientation_psi(field) -> np.ndarray:

