@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -617,7 +618,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
         if cfg.target_file is not None
         else state
     )
-    result = reconstruct(record, pset, init_seed=cfg.seed, target=target)
+    result = reconstruct(record, pset, target=target)
     write_json(
         _out(cfg, "tomography.json"),
         {
@@ -627,6 +628,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
             "iterations": result.iterations,
             "converged": result.converged,
             "termination": result.termination,
+            "gradient_norm": result.gradient_norm,
             "record_kind": record.kind,
             "n_settings": len(pset),
             "rho": state_to_dict(result.rho_hat),
@@ -681,6 +683,7 @@ _COMMANDS = {
 }
 
 
+@cache  # once per process: parse_args keeps no state on the parser
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")

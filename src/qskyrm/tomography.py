@@ -19,35 +19,39 @@ the way coincidence rates are normalized in practice.
 
 Born probabilities are linear in rho.  :attr:`ProjectorSet.measurement_matrix`
 caches the real ``(n_settings, 2 d^2)`` matrix ``A`` whose row k is
-``[Re, -Im]`` of ``conj(b_k) x b_k``, so that ``p = A [Re rho, Im rho]`` with
-rho flattened row-major.  The forward model and every objective evaluation
-share it.
+``[Re, -Im]`` of ``conj(b_k) x b_k``, so that ``p = A r`` with
+``r = [Re rho, Im rho]``, rho flattened row-major.  The forward model and the
+fit share it.
 
-Reconstruction minimizes the squared residual between measured and modeled
-probabilities over ``rho = L L^dag / Tr(L L^dag)`` with L complex lower
-triangular and an exponential parametrization of its diagonal, which keeps
-every iterate Hermitian, positive semidefinite, and unit trace.  The
-optimizer is L-BFGS-B with the analytic gradient.
+Reconstruction minimizes ``f(r) = |A r - p_hat|^2`` over density matrices,
+directly on r.  In Gram form ``f = r.G r - 2 h.r + c`` with ``G = A^T A``
+(:attr:`ProjectorSet.gram`), ``h = A^T p_hat`` and ``c = p_hat.p_hat``, and
+``grad f = 2 (G r - h)``.  The optimizer is accelerated projected gradient
+(FISTA; Shang, Zhang & Ng, PRA 95, 062336, 2017) from the maximally mixed
+state, with the momentum restarted whenever f rises.  Each step projects
+onto the density matrices: Hermitize, diagonalize, and project the spectrum
+onto the unit simplex (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), so
+every iterate is Hermitian, positive semidefinite and unit trace.
 
 Stopping rule.  With Poisson counts the residual at the true state is about
 ``sigma^2 = sum_k p_hat_k / N`` (N counts per setting), so refining the fit
-below a small fraction of that floor only fits noise.  For count records the
-optimizer stops once one iteration lowers the objective by less than
-``_SHOT_NOISE_FTOL * sigma^2`` (L-BFGS-B's ``ftol`` test, absolute here since
-the objective is below one).  Noiseless probability records have no floor and
-keep ``ftol = 1e-15``.  ``max_iterations`` is only a safety cap, and
-:attr:`ReconstructionResult.termination` says which test ended the fit.
+below a small fraction of that floor only fits noise.  A count-level fit
+stops (``"ftol"``) once one step lowers f by less than
+``_SHOT_NOISE_FTOL * sigma^2``; noiseless probability records have no floor
+and use ``_NOISELESS_FTOL``.  Every fit also stops (``"gtol"``) once the
+gradient-mapping norm falls below ``_GRADIENT_TOL``.  ``max_iterations`` is
+only a safety cap, and :attr:`ReconstructionResult.termination` says which
+test ended the fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BasisMismatchError, UnsupportedStateError
 from .hilbert import OamBasis, Space, State, polarization_ket, state_overlap
@@ -72,10 +76,9 @@ _PHASE_LABELS = ("0", "90", "180", "270")
 # stop a count-level fit once an iteration gains less than this fraction of
 # the expected shot-noise residual sigma^2 = sum_k p_hat_k / N
 _SHOT_NOISE_FTOL = 2e-7
-# noiseless records bottom out near 1e-12, so their test sits near machine
-# precision; L-BFGS-B's default relative-decrease test would quit too early
+# noiseless records have no floor, so their test sits near machine precision
 _NOISELESS_FTOL = 1e-15
-# every fit also stops once the projected gradient falls below this
+# every fit also stops once the gradient-mapping norm falls below this
 _GRADIENT_TOL = 1e-8
 
 
@@ -129,6 +132,28 @@ class ProjectorSet:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = A^T A for A = :attr:`measurement_matrix`; cached for the life of the set."""
+        a = self.measurement_matrix
+        out = a.T @ a
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def step(self) -> float:
+        """Projected-gradient step 1/L, with L = 2 lambda_max(G) over traceless r.
+
+        Projecting onto density matrices ignores a multiple of the identity,
+        so the gradient's trace part never moves an iterate.  The settings'
+        projectors sum to a multiple of the identity, so the identity's r is
+        an eigenvector of G; its eigenvalue is left out.
+        """
+        e = _stack_real(np.eye(self.dim)) / math.sqrt(self.dim)
+        w = np.linalg.eigvalsh(self.gram)
+        w = np.delete(w, np.argmin(np.abs(w - e @ self.gram @ e)))
+        return 0.5 / float(w[-1])
+
     def projector(self, k: int) -> np.ndarray:
         m = self.product_kets[k]
         return np.outer(m, m.conj())
@@ -171,11 +196,12 @@ class ReconstructionResult:
 
     ``residual`` is the 2-norm of the final probability misfit;
     ``fidelity_vs_target`` is None when no target was supplied.
-    ``termination`` names the test that ended the fit: ``"ftol"`` (objective
-    decrease below the stopping tolerance), ``"gtol"`` (projected gradient
-    below the fixed ``_GRADIENT_TOL`` = 1e-8), ``"iteration_cap"``
-    (``max_iterations`` or its evaluation budget ran out) or ``"abnormal"``
-    (the line search failed).
+    ``iterations`` counts projected-gradient steps, and ``gradient_norm`` is
+    the gradient-mapping norm ``|y - x+| / step`` of the last one.
+    ``termination`` names the test that ended the fit: ``"ftol"`` (one step
+    lowered the misfit by less than the stopping tolerance), ``"gtol"``
+    (``gradient_norm`` below the fixed ``_GRADIENT_TOL`` = 1e-8) or
+    ``"iteration_cap"`` (``max_iterations`` ran out).
     ``converged`` is true exactly for ``"ftol"`` and ``"gtol"``.
     """
 
@@ -185,11 +211,16 @@ class ReconstructionResult:
     iterations: int
     converged: bool
     termination: str
+    gradient_norm: float
     fidelity_vs_target: float | None = None
 
 
+@cache
 def build_projector_set(d_sp: int) -> ProjectorSet:
-    """Standard overcomplete setting family for a d_sp-mode spatial space."""
+    """Standard overcomplete setting family for a d_sp-mode spatial space.
+
+    Built once per process and d_sp, so the set's cached matrices are too.
+    """
     if d_sp not in (2, 3):
         raise ValueError(f"d_sp must be 2 or 3, got {d_sp}")
     eye = np.eye(d_sp, dtype=complex)
@@ -272,19 +303,6 @@ def _estimate_probabilities(record: MeasurementRecord, pset: ProjectorSet) -> np
     return p
 
 
-def _tril_indexing(d: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.tril_indices(d, k=-1)
-    return rows, cols
-
-
-def _build_l(x: np.ndarray, d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    L = np.zeros((d, d), dtype=complex)
-    L[np.arange(d), np.arange(d)] = np.exp(x[:d])
-    n_off = rows.size
-    L[rows, cols] = x[d : d + n_off] + 1j * x[d + n_off :]
-    return L
-
-
 def _measurement_matrix(kets: np.ndarray) -> np.ndarray:
     """Rows ``[Re, -Im]`` of ``conj(b_k) x b_k`` for kets b_k, shape (n, 2 d^2)."""
     m = np.einsum("ki,kj->kij", kets.conj(), kets).reshape(len(kets), -1)
@@ -296,95 +314,86 @@ def _stack_real(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([rho.real.ravel(), rho.imag.ravel()])
 
 
-def _misfit_objective(
-    x: np.ndarray,
-    p_hat: np.ndarray,
-    A: np.ndarray,
-    d: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Squared probability misfit of rho(x) = L L^dag / tr, with its gradient.
+def _unstack(r: np.ndarray, d: int) -> np.ndarray:
+    """The (d, d) complex matrix whose :func:`_stack_real` is r."""
+    return (r[: d * d] + 1j * r[d * d :]).reshape(d, d)
 
-    ``A`` is a :attr:`ProjectorSet.measurement_matrix`.
-    """
-    n_off = rows.size
-    L = _build_l(x, d, rows, cols)
-    a = L @ L.conj().T
-    t = float(np.trace(a).real)
-    rho = a / t
-    # two-operand einsum, not matmul: a multithreaded BLAS spinning on these
-    # small products slows every optimizer step more than the product costs
-    p = np.einsum("kj,j->k", A, _stack_real(rho))
-    err = p - p_hat
-    f = float(err @ err)
-    # W = sum_k err_k b_k b_k^dag, the conjugate of err . A's complex rows
-    g_w = np.einsum("k,kj->j", err, A)
-    w = (g_w[: d * d] + 1j * g_w[d * d :]).reshape(d, d)
-    v = (2.0 / t) * (w - np.trace(w @ rho).real * np.eye(d))
-    g = v @ L
-    grad = np.empty_like(x)
-    grad[:d] = 2.0 * g[np.arange(d), np.arange(d)].real * np.exp(x[:d])
-    grad[d : d + n_off] = 2.0 * g[rows, cols].real
-    grad[d + n_off :] = 2.0 * g[rows, cols].imag
-    return f, grad
+
+def _misfit(r: np.ndarray, gram: np.ndarray, h: np.ndarray, c: float) -> tuple[float, np.ndarray]:
+    """f(r) = r.G r - 2 h.r + c and its gradient 2 (G r - h)."""
+    half = gram @ r - h
+    return float(r @ (half - h)) + c, 2.0 * half
+
+
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of w onto the unit simplex {x >= 0, sum x = 1}."""
+    u = np.sort(w)[::-1]
+    excess = np.cumsum(u) - 1.0
+    last = np.nonzero(u > excess / np.arange(1, w.size + 1))[0][-1]
+    return np.maximum(w - excess[last] / (last + 1), 0.0)
+
+
+def _project_density(r: np.ndarray, d: int) -> np.ndarray:
+    """Stacked density matrix nearest to the stacked matrix r in Frobenius norm."""
+    m = _unstack(r, d)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return _stack_real((v * _simplex(w)) @ v.conj().T)
 
 
 def reconstruct(
     record: MeasurementRecord,
     pset: ProjectorSet,
-    init_seed: int = 0,
     target: State | None = None,
     max_iterations: int = 5000,
 ) -> ReconstructionResult:
     """Least-squares density-matrix fit with guaranteed physicality.
 
-    Deterministic for a given ``init_seed``, which only sets the small random
-    perturbation of the initial (maximally mixed) iterate that breaks its
-    gradient symmetry.  Count records stop at the shot-noise rule of the
-    module docstring, and every fit stops once the projected gradient falls
-    below the fixed ``_GRADIENT_TOL`` = 1e-8; ``max_iterations`` is a safety
+    Deterministic: it starts from the maximally mixed state.  The stopping
+    rules are those of the module docstring; ``max_iterations`` is a safety
     cap.
     """
     if len(record) != len(pset):
         raise BasisMismatchError(
             f"record has {len(record)} entries for {len(pset)} settings"
         )
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     p_hat = _estimate_probabilities(record, pset)
     A = pset.measurement_matrix
-    d = pset.dim
-    rows, cols = _tril_indexing(d)
-    n_off = rows.size
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return _misfit_objective(x, p_hat, A, d, rows, cols)
-
-    rng = np.random.default_rng(init_seed)
-    x0 = rng.normal(scale=1e-2, size=d + 2 * n_off)
-    # generous box bounds; the overall scale of L is free (trace-normalized),
-    # so they only keep line-search probes from overflowing exp
-    bounds = [(-20.0, 20.0)] * d + [(-1e4, 1e4)] * (2 * n_off)
-
+    gram, step, d = pset.gram, pset.step, pset.dim
+    h = p_hat @ A
+    c = float(p_hat @ p_hat)
     if record.kind == "counts":
         ftol = _SHOT_NOISE_FTOL * float(p_hat.sum()) / record.total_per_setting
     else:
         ftol = _NOISELESS_FTOL
-    result = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={
-            "maxiter": max_iterations,
-            "gtol": _GRADIENT_TOL,
-            "ftol": ftol,
-            "maxfun": 10 * max_iterations,
-        },
-    )
-    L = _build_l(result.x, d, rows, cols)
-    a = L @ L.conj().T
-    rho = a / float(np.trace(a).real)
+
+    x = _stack_real(np.eye(d) / d)
+    f, grad = _misfit(x, gram, h, c)
+    y, grad_y, t = x, grad, 1.0
+    termination = "iteration_cap"
+    for iterations in range(1, max_iterations + 1):
+        x_new = _project_density(y - step * grad_y, d)
+        gradient_norm = float(np.linalg.norm(y - x_new)) / step
+        f_new, grad_new = _misfit(x_new, gram, h, c)
+        decrease, x_old, grad_old = f - f_new, x, grad
+        x, f, grad = x_new, f_new, grad_new
+        if gradient_norm < _GRADIENT_TOL:
+            termination = "gtol"
+            break
+        if 0.0 <= decrease < ftol:
+            termination = "ftol"
+            break
+        if decrease < 0.0:  # f rose: restart the momentum
+            t, beta = 1.0, 0.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            t, beta = t_next, (t - 1.0) / t_next
+        # the gradient is affine in r, so it extrapolates with the iterate
+        y = x + beta * (x - x_old)
+        grad_y = grad + beta * (grad - grad_old)
+
+    rho = _unstack(x, d)
     rho = 0.5 * (rho + rho.conj().T)
     # charge labels come from the target when given; otherwise plain indices
     if target is not None:
@@ -392,26 +401,17 @@ def reconstruct(
     else:
         space = Space.tripartite(OamBasis(tuple(range(pset.d_sp))))
     rho_state = State(space, "density", rho)
-    termination = _termination(result)
     fid = fidelity(rho_state, target) if target is not None else None
     return ReconstructionResult(
         rho_hat=rho_state,
-        residual=float(math.sqrt(result.fun)),
+        residual=float(np.linalg.norm(A @ x - p_hat)),
         purity=purity(rho_state),
-        iterations=int(result.nit),
+        iterations=iterations,
         converged=termination in ("ftol", "gtol"),
         termination=termination,
+        gradient_norm=gradient_norm,
         fidelity_vs_target=fid,
     )
-
-
-def _termination(result) -> str:
-    """Which L-BFGS-B test ended the run (see :class:`ReconstructionResult`)."""
-    if result.status == 0:
-        return "gtol" if "GRADIENT" in str(result.message).upper() else "ftol"
-    if result.status == 1:
-        return "iteration_cap"
-    return "abnormal"
 
 
 def purity(state: State) -> float:

@@ -82,7 +82,7 @@ def tomography_fits(binary_state):
     )
     t0 = time.perf_counter()
     noiseless = reconstruct(
-        forward_model(random_target, pset), pset, init_seed=11, target=random_target
+        forward_model(random_target, pset), pset, target=random_target
     )
     noiseless_time = time.perf_counter() - t0
 
@@ -92,7 +92,7 @@ def tomography_fits(binary_state):
     for seed in range(20):
         record = simulate_counts(probs, 10000, seed)
         t0 = time.perf_counter()
-        result = reconstruct(record, pset, init_seed=seed, target=binary_state)
+        result = reconstruct(record, pset, target=binary_state)
         times.append(time.perf_counter() - t0)
         poisson.append(result)
     return {
@@ -364,7 +364,7 @@ def test_criterion_10_invariant_suite(binary_state, tomography_fits, capsys):
     # determinism per seed across independent reruns
     record_a = simulate_counts(tomography_fits["probs"], 10000, 0)
     record_b = simulate_counts(tomography_fits["probs"], 10000, 0)
-    refit = reconstruct(record_a, pset, init_seed=0, target=binary_state)
+    refit = reconstruct(record_a, pset, target=binary_state)
     checks["determinism"] = np.array_equal(record_a.values, record_b.values) and (
         np.array_equal(refit.rho_hat.data, tomography_fits["poisson"][0].rho_hat.data)
     )

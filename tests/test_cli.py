@@ -461,6 +461,22 @@ def test_bell_ideal_and_werner(tmp_path):
     assert (out_b / "bell_fringes.csv").exists()
 
 
+def test_successive_main_calls_share_no_flag_values(tmp_path):
+    # the parser is built once per process, so a flag given to one call must
+    # not reach the next
+    assert _build_parser() is _build_parser()
+    first = ["--werner-p", "0.9", "--pol-b", "L", "--pair", "0,-4", "--seed", "3"]
+    assert main(["bell", "--out", str(tmp_path / "a")] + first) == 0
+    config = os.path.join(CONFIG_DIR, "ideal_bell.json")
+    assert main(["bell", "--config", config, "--out", str(tmp_path / "b")]) == 0
+    doc = read_json(tmp_path / "b" / "bell.json")
+    assert abs(doc["s_value"] - 2.0 * math.sqrt(2.0)) < 1e-9
+    assert doc["subspace"] == {"pol_b": "R", "pair": [0, -2]}
+    # the pinned hash of ideal_bell.json in GOLDEN_HASHES
+    expected = "5235fff4ad0408a8cef36f84f7764e4e0a4b34e6847179854eeac367195a73e9"
+    assert doc["meta"]["config_sha256"] == expected
+
+
 def test_tomography_reports_termination(tmp_path):
     out = tmp_path / "o"
     code = main(["tomography", "--out", str(out), "--seed", "7"])
@@ -470,6 +486,7 @@ def test_tomography_reports_termination(tmp_path):
     assert doc["termination"] in ("ftol", "gtol")
     assert doc["converged"] is True
     assert doc["iterations"] < 1000
+    assert 0.0 <= doc["gradient_norm"] < math.inf
     assert doc["fidelity_vs_target"] >= 0.98
 
 
