@@ -321,13 +321,15 @@ class State:
         with ``rho = sum_k |k><k|``.
 
         A pure state gives its amplitude tensor under one leading axis; a
-        density matrix gives the eigenvectors of its positive eigenvalues w,
-        each scaled by sqrt(w).
+        density matrix gives the eigenvectors of its eigenvalues w above
+        ``max(w) * dim * eps``, each scaled by sqrt(w).  Below that bound an
+        eigenvalue is the decomposition's round-off (a rank-r matrix comes
+        back with 1e-16 to 1e-19 in place of its zeros), not a ket.
         """
         if self.is_pure:
             return self.data.reshape((1,) + self.space.dims)
         w, v = np.linalg.eigh(self.data)
-        keep = w > 0.0
+        keep = w > w.max() * w.size * np.finfo(float).eps
         return (v[:, keep] * np.sqrt(w[keep])).T.reshape((-1,) + self.space.dims)
 
     def to_density(self) -> "State":

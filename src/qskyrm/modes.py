@@ -21,8 +21,13 @@ the Gaussian back; intensities take its square, exp(-2 r^2/w^2), per grid.
 
 Grids are cell centered: for ``nx`` columns over ``[-half_extent,
 half_extent]`` the sample abscissae are ``(i + 0.5 - nx/2) * dx``.  With even
-``nx`` no sample sits exactly on the vortex core.  Profiles are cached per
-(charges, grid) and returned read-only; copy before mutating.
+``nx`` no sample sits exactly on the vortex core.  A :func:`mode_stack` is
+cached per (charges, grid) and is the only stored copy of its profiles: a
+charge shared by two stacks is computed once for each.  :func:`lg_mode`
+caches single profiles of its own.  Cached arrays are read-only; copy
+before mutating.  Frames of one sweep render on several threads at once
+(:mod:`qskyrm.topology`), which fill these caches before they start, so no
+two threads build the same stack.
 
 Per-frame passes over a grid (Stokes synthesis, skyrmion density) walk it in
 blocks of :data:`ROW_STRIP` rows from :func:`row_strips`, so their
@@ -122,9 +127,9 @@ def _log_norm(m: int) -> float:
     return 0.5 * (math.log(2.0) - math.log(math.pi) - math.lgamma(m + 1))
 
 
-@lru_cache(maxsize=256)
-def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
-    """Envelope-free profile of charge ``ell``: the mode over exp(-r^2/w^2)."""
+def _envelope_free(ell: int, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """Envelope-free profile of charge ``ell``, the mode over exp(-r^2/w^2),
+    written into ``out`` (complex, shape (ny, nx))."""
     r, phi = polar_coords(grid)
     w = grid.waist
     m = abs(ell)
@@ -135,7 +140,13 @@ def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
     amp = np.exp(log_pref + log_radial)
     if m > 0:
         amp = np.where(r > 0.0, amp, 0.0)  # core is dark for any vortex
-    field = amp * np.exp(1j * ell * phi)
+    return np.multiply(amp, np.exp(1j * ell * phi), out=out)
+
+
+@lru_cache(maxsize=256)
+def _lg_mode_cached(ell: int, grid: GridSpec) -> np.ndarray:
+    """One charge's envelope-free profile, for :func:`lg_mode`."""
+    field = _envelope_free(ell, grid, np.empty(grid.shape, dtype=complex))
     field.setflags(write=False)
     return field
 
@@ -150,15 +161,28 @@ def _intensity_envelope(grid: GridSpec) -> np.ndarray:
     return envelope
 
 
+def _checked(ells: Sequence[int]) -> tuple[int, ...]:
+    ells = tuple(int(l) for l in ells)
+    for l in ells:
+        if abs(l) > _MAX_CHARGE:
+            raise ValueError(f"|ell| is capped at {_MAX_CHARGE}, got {l}")
+    return ells
+
+
 def lg_mode(ell: int, grid: GridSpec) -> np.ndarray:
     """Unit-power mode profile of charge ``ell`` on ``grid``, shape (ny, nx)."""
+    (ell,) = _checked((ell,))
     r, _ = polar_coords(grid)
-    return mode_stack((ell,), grid)[0] * np.exp(-((r / grid.waist) ** 2))
+    return _lg_mode_cached(ell, grid) * np.exp(-((r / grid.waist) ** 2))
 
 
 @lru_cache(maxsize=64)
 def _mode_stack_cached(ells: tuple[int, ...], grid: GridSpec) -> np.ndarray:
-    stack = np.stack([_lg_mode_cached(l, grid) for l in ells])
+    # each profile is computed into its slot: the stack is its profiles'
+    # only stored copy
+    stack = np.empty((len(ells),) + grid.shape, dtype=complex)
+    for k, l in enumerate(ells):
+        _envelope_free(l, grid, stack[k])
     stack.setflags(write=False)
     return stack
 
@@ -166,8 +190,4 @@ def _mode_stack_cached(ells: tuple[int, ...], grid: GridSpec) -> np.ndarray:
 def mode_stack(ells: Sequence[int], grid: GridSpec) -> np.ndarray:
     """Stack of envelope-free mode profiles, shape (len(ells), ny, nx),
     read-only: each is its :func:`lg_mode` over exp(-r^2/w^2)."""
-    ells = tuple(int(l) for l in ells)
-    for l in ells:
-        if abs(l) > _MAX_CHARGE:
-            raise ValueError(f"|ell| is capped at {_MAX_CHARGE}, got {l}")
-    return _mode_stack_cached(ells, grid)
+    return _mode_stack_cached(_checked(ells), grid)

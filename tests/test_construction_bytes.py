@@ -99,7 +99,7 @@ def test_apply_qplate_bytes():
     assert _digest(out) == QPLATE_DIGEST
 
 
-PROJECT_DIGEST = "cada45cc60524e8b0ce40b55a59b6901168de91575138686472ec68657476847"
+PROJECT_DIGEST = "868c31da1785b40e37dd4a54b4e8d07f0266e81e7f4af1ae4bfeb9822c235000"
 COEFFS = (
     {0: 1.0, -2: 1.0j},
     [(0, 1.0), (-4, 0.5 + 0.5j)],

@@ -117,6 +117,21 @@ def test_projection_ket_normalized(angles):
     assert abs(np.vdot(k, k).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 6, 12])
+@pytest.mark.parametrize("seed", range(4))
+def test_density_kets_are_its_rank(binary_state, rank, seed):
+    # eigh leaves round-off in place of the zero eigenvalues; none of it may
+    # come back as a ket
+    rng = np.random.default_rng(seed)
+    dim = binary_state.data.size
+    kets = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    rho = kets.T @ kets.conj()
+    rho /= np.trace(rho).real
+    out = State.density(binary_state.space, rho).kets().reshape(-1, dim)
+    assert out.shape[0] == rank
+    assert np.abs(out.T @ out.conj() - rho).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # construction pipeline
 # ---------------------------------------------------------------------------
