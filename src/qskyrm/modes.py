@@ -22,12 +22,13 @@ the Gaussian back; intensities take its square, exp(-2 r^2/w^2), per grid.
 Grids are cell centered: for ``nx`` columns over ``[-half_extent,
 half_extent]`` the sample abscissae are ``(i + 0.5 - nx/2) * dx``.  With even
 ``nx`` no sample sits exactly on the vortex core.  A :func:`mode_stack` is
-cached per (charges, grid) and is the only stored copy of its profiles: a
-charge shared by two stacks is computed once for each.  :func:`lg_mode`
-caches single profiles of its own.  Cached arrays are read-only; copy
-before mutating.  Frames of one sweep render on several threads at once
-(:mod:`qskyrm.topology`), which fill these caches before they start, so no
-two threads build the same stack.
+cached per (charges, grid), and the cached stacks are the only stored
+copies of their profiles: a new stack copies a charge that a cached stack
+on its grid already holds and computes the others.  :func:`lg_mode` caches
+single profiles of its own.  Cached arrays are read-only; copy before
+mutating.  The frames of a dynamics sweep render on several threads at
+once (:mod:`qskyrm.topology`), which fill these caches before they start,
+so no two threads build the same stack.
 
 Per-frame passes over a grid (Stokes synthesis, skyrmion density) walk it in
 blocks of :data:`ROW_STRIP` rows from :func:`row_strips`, so their
@@ -37,6 +38,7 @@ temporaries stay cache-sized on large grids.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -133,14 +135,23 @@ def _envelope_free(ell: int, grid: GridSpec, out: np.ndarray) -> np.ndarray:
     r, phi = polar_coords(grid)
     w = grid.waist
     m = abs(ell)
-    log_pref = _log_norm(m) - math.log(w)
-    scaled = math.sqrt(2.0) * r / w
-    with np.errstate(divide="ignore"):
-        log_radial = np.where(scaled > 0.0, m * np.log(np.where(scaled > 0.0, scaled, 1.0)), 0.0)
-    amp = np.exp(log_pref + log_radial)
+    core = r == 0.0  # the centre cell of an odd grid, else nowhere
+    # amp = exp(log_pref + m log(sqrt(2) r / w)), with the logarithm 0 on the
+    # core.  Worked in place, a profile allocates one real array and no
+    # complex temporary: a cold build spends much of its time faulting in
+    # fresh pages for its temporaries
+    amp = math.sqrt(2.0) * r
+    amp /= w
+    amp[core] = 1.0
+    np.log(amp, out=amp)
+    amp *= m
+    amp += _log_norm(m) - math.log(w)
+    np.exp(amp, out=amp)
     if m > 0:
-        amp = np.where(r > 0.0, amp, 0.0)  # core is dark for any vortex
-    return np.multiply(amp, np.exp(1j * ell * phi), out=out)
+        amp[core] = 0.0  # core is dark for any vortex
+    np.multiply(1j * ell, phi, out=out)
+    np.exp(out, out=out)
+    return np.multiply(amp, out, out=out)
 
 
 @lru_cache(maxsize=256)
@@ -176,14 +187,26 @@ def lg_mode(ell: int, grid: GridSpec) -> np.ndarray:
     return _lg_mode_cached(ell, grid) * np.exp(-((r / grid.waist) ** 2))
 
 
+# (ells, grid) -> its cached stack, held weakly so that it goes with the
+# cache entry
+_built_stacks: "weakref.WeakValueDictionary[tuple, np.ndarray]" = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=64)
 def _mode_stack_cached(ells: tuple[int, ...], grid: GridSpec) -> np.ndarray:
-    # each profile is computed into its slot: the stack is its profiles'
-    # only stored copy
+    # each profile goes straight into its slot, copied from a cached stack on
+    # the same grid that holds it or else computed: the stacks are the
+    # profiles' only stored copies, and a charge is computed once per grid
     stack = np.empty((len(ells),) + grid.shape, dtype=complex)
     for k, l in enumerate(ells):
-        _envelope_free(l, grid, stack[k])
+        for (others, on), other in _built_stacks.items():
+            if on == grid and l in others:
+                stack[k] = other[others.index(l)]
+                break
+        else:
+            _envelope_free(l, grid, stack[k])
     stack.setflags(write=False)
+    _built_stacks[ells, grid] = stack
     return stack
 
 

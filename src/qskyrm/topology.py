@@ -17,8 +17,8 @@ module sweeps heralding angles over the projection sphere (rendering each
 distinct heralded photon once), decomposes a multi-core texture into
 quasiparticle regions, and follows those regions through a parameter sweep
 to extract their orbital and internal-rotation (spin) dynamics.  The frames
-of one sweep render concurrently, on a thread pool of that call (see
-:func:`_frames_in_pool`).
+of one dynamics sweep render concurrently, on a thread pool of that call
+(see :func:`_frames_in_pool`).
 
 A pure photon needs no grid for its number.  Each circular component is the
 common Gaussian exp(-r^2/w^2)/w times sum_l c_l N_l tau^|l|, with
@@ -135,7 +135,7 @@ _CAP_LEVEL = 0.5  # s3 level whose preimage islands define the regions
 _MIN_REGION_CHARGE = 0.5  # |m_j| below this is a sliver, not a quasiparticle
 _COEFF_FLOOR = 1e-12  # amplitudes below this fraction of the largest are noise
 _ROOT_TOL = 1e-9  # |f(t)| below this fraction of its terms' magnitudes is a zero
-_MAX_FRAME_WORKERS = 4  # threads rendering one sweep's frames, at most
+_MAX_FRAME_WORKERS = 2  # threads rendering one sweep's frames, at most (larger pools are unmeasured)
 
 
 @dataclass(frozen=True)
@@ -389,22 +389,21 @@ def _warm_frame_caches(state: State, grid: GridSpec) -> None:
     _intensity_envelope(grid)
 
 
-def _frames_in_pool(
-    work: Callable[[int], tuple], count: int, deliver: Callable[..., None] | None = None
-) -> list:
+def _frames_in_pool(work: Callable[[int], tuple], count: int, deliver: Callable[..., None] | None) -> list:
     """``work(i)`` for each i < ``count`` on a thread pool of this call.
 
     ``work(i)`` returns ``(result, shown)``; the list of results comes back
     in sample order.  numpy releases the interpreter lock inside its array
     loops, so the frames of one sweep overlap.  The pool has one thread per
-    CPU this process may run on, at most ``_MAX_FRAME_WORKERS``: one CPU gives
-    a pool of one.  ``deliver(i, *shown)``, when given, is called for every
-    sample whose ``shown`` is not None, on the thread that computed it, in
-    sample order: a sample's turn comes once every earlier sample has been
-    delivered or has none to deliver.  A sample that raises ends the
-    deliveries in its turn, so no later sample is delivered; the first such
-    exception, in sample order, is raised once every running sample is done,
-    and samples not yet started are dropped.
+    CPU this process may run on (``os.sched_getaffinity``), at most
+    ``_MAX_FRAME_WORKERS``: one CPU gives a pool of one.  ``deliver(i,
+    *shown)``, when given, is called for every sample whose ``shown`` is not
+    None, on the thread that computed it, in sample order: a sample's turn
+    comes once every earlier sample has been delivered or has none to
+    deliver.  A sample that raises ends the deliveries in its turn, so no
+    later sample is delivered; the first such exception, in sample order, is
+    raised once every running sample is done, and samples not yet started
+    are dropped.
     """
     turns = [threading.Event() for _ in range(count)]
     broken = threading.Event()  # an earlier sample raised
@@ -425,12 +424,7 @@ def _frames_in_pool(
         finally:
             turns[i].set()
 
-    # the CPUs this process may run on; platforms without affinity count all
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    workers = min(usable, _MAX_FRAME_WORKERS)
+    workers = min(len(os.sched_getaffinity(0)), _MAX_FRAME_WORKERS)
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qskyrm-frame")
     try:
         futures = [pool.submit(run, i) for i in range(count)]
@@ -626,19 +620,16 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     )
 
 
-def _exact_sample(photon: State) -> tuple[float, str, float, float] | None:
-    """``(n, "exact", outer_radius, core_scale)`` of one heralded photon where
-    :func:`exact_skyrmion_number` applies, else None."""
+def _sample_number(photon: State, grid: GridSpec) -> tuple[float, str, float, float]:
+    """``(n, method, outer_radius, core_scale)`` of one heralded photon: the
+    exact number where :func:`exact_skyrmion_number` applies, else the
+    grid's (NaN for an empty field) with NaN diagnostics."""
     try:
         n, outer, scale = exact_skyrmion_number(photon)
     except UnsupportedStateError:
-        return None
-    return float(n), "exact", outer, scale
-
-
-def _grid_sample(photon: State, grid: GridSpec) -> tuple[float, str, float, float]:
-    """``(n, "grid", nan, nan)``: the number over the photon's frame, NaN for
-    an empty field."""
+        pass
+    else:
+        return float(n), "exact", outer, scale
     try:
         _, density = photon_frame(photon, grid)
     except EmptyFieldError:
@@ -662,9 +653,7 @@ def sphere_sweep(
     texture carries no intensity) are flagged invalid rather than raising.
     Each distinct heralded photon is counted once: samples whose conditional
     state has the same bytes (every azimuth at theta = 0, say) share its
-    number.  Heralding and the exact numbers run on the calling thread; the
-    distinct photons that need a frame render concurrently, on a pool of
-    one thread per CPU this process may use (at most four).
+    number.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
@@ -677,12 +666,10 @@ def sphere_sweep(
     method = np.full(shape, None, dtype=object)
     outer_radius = np.full(shape, np.nan)
     core_scale = np.full(shape, np.nan)
-    # photon bytes -> its sample (None until its frame is rendered) and its
-    # map cells; exact bytes only: nearly equal photons (the theta = pi kets
-    # differ by ~1e-17) can give grid numbers that differ in print
-    samples: dict[bytes, tuple[float, str, float, float] | None] = {}
-    cells: dict[bytes, list[tuple[int, int]]] = {}
-    framed: list[tuple[bytes, State]] = []
+    # photon bytes -> its sample; exact bytes only: nearly equal photons (the
+    # theta = pi kets differ by ~1e-17) can give grid numbers that differ in
+    # print
+    samples: dict[bytes, tuple[float, str, float, float]] = {}
     for i, theta in enumerate(thetas):
         for j, alpha in enumerate(alphas):
             try:
@@ -691,16 +678,7 @@ def sphere_sweep(
                 continue
             key = photon.data.tobytes()
             if key not in samples:
-                samples[key] = _exact_sample(photon)
-                if samples[key] is None:
-                    framed.append((key, photon))
-            cells.setdefault(key, []).append((i, j))
-    if framed:
-        _warm_frame_caches(state, grid)
-        numbers = _frames_in_pool(lambda k: (_grid_sample(framed[k][1], grid), None), len(framed))
-        samples.update((key, n) for (key, _), n in zip(framed, numbers))
-    for key, where in cells.items():
-        for i, j in where:
+                samples[key] = _sample_number(photon, grid)
             n_values[i, j], method[i, j], outer_radius[i, j], core_scale[i, j] = samples[key]
     valid = ~np.isnan(n_values)
     return SphereMap(thetas, alphas, n_values, valid, method, outer_radius, core_scale)
@@ -946,7 +924,7 @@ def track_dynamics(
     later entries stay NaN.
 
     The samples' frames render concurrently, on a pool of one thread per
-    CPU this process may use (at most four): each sample's herald, frame,
+    CPU this process may use (at most two): each sample's herald, frame,
     segmentation and co-moving phases run on a pool thread, and the linking
     on the calling thread.  ``on_frame(i, unit, density, psi)``, when given,
     is called with each sample's texture, density and orientation map ψ once

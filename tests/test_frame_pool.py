@@ -1,15 +1,18 @@
-"""Frames of one sweep render concurrently and give the serial results.
+"""Frames of one dynamics sweep render concurrently and give the serial
+results.
 
-``track_dynamics`` and ``sphere_sweep`` render their frames on a thread pool
-sized by the CPUs the process may use.  Each test here builds the serial
-result from the same stages and requires equal arrays, or checks the order
-and failure rules of the ``on_frame`` callback.
+``track_dynamics`` renders its frames on a thread pool sized by the CPUs the
+process may use.  Each test here builds the serial result from the same
+stages and requires equal arrays, or checks the order and failure rules of
+the ``on_frame`` callback.  The density-state sphere sweep, whose frames
+share the same mode caches, is checked against its serial reference too.
 """
 
 import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -186,3 +189,27 @@ def test_failed_frame_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     frames = sorted(name for name in os.listdir(out) if name.endswith("_sigma.pgm"))
     assert frames == [f"frame_{i:03d}_sigma.pgm" for i in range(3)]
+
+
+def test_first_failure_in_sample_order_is_raised(monkeypatch):
+    # sample 3 fails on the second thread while sample 2 is still running;
+    # sample 2's error is the one raised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sweep = [ProjectionAngles(1.26, a) for a in np.linspace(0.0, 2.0, 6)]
+    herald = topology.herald_polarization
+
+    def heralding(state, angles):
+        if angles == sweep[2]:
+            time.sleep(0.2)
+            raise RuntimeError("sample 2")
+        if angles == sweep[3]:
+            raise RuntimeError("sample 3")
+        return herald(state, angles)
+
+    monkeypatch.setattr(topology, "herald_polarization", heralding)
+    shown = []
+    with pytest.raises(RuntimeError, match="sample 2"):
+        track_dynamics(
+            balanced_switch_state((0, -2, -4)), sweep, GRID, on_frame=lambda i, *frame: shown.append(i)
+        )
+    assert shown == [0, 1]

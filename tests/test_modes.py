@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qskyrm import GridSpec, grid_axes, lg_mode, mode_stack, polar_coords
+from qskyrm import GridSpec, grid_axes, lg_mode, mode_stack, modes, polar_coords
 
 
 def quad_norm(field, grid):
@@ -78,6 +78,22 @@ def test_mode_stack_matches_single_modes(small_grid):
     gauss = np.exp(-((r / small_grid.waist) ** 2))
     for k, ell in enumerate((0, -2, -4)):
         np.testing.assert_allclose(stack[k] * gauss, lg_mode(ell, small_grid), rtol=1e-15, atol=0.0)
+
+
+def test_stacks_share_charges_and_go_with_the_cache():
+    # a stack copies a charge a cached stack on its grid holds; a cold build
+    # of the same charges gives the same bytes
+    grid = GridSpec(48, 48)
+    first = mode_stack((0, -2, -4), grid)
+    shared = mode_stack((-4, 0, 2), grid)
+    assert shared[0].tobytes() == first[2].tobytes() and shared[1].tobytes() == first[0].tobytes()
+    modes._mode_stack_cached.cache_clear()
+    del first, shared
+    assert not any(on == grid for _, on in modes._built_stacks)
+    cold = mode_stack((-4, 0, 2), grid)
+    lone = mode_stack((2,), GridSpec(48, 48, half_extent=3.0))
+    assert cold[2].tobytes() != lone[0].tobytes()  # a stack on another grid is no source
+    np.testing.assert_array_equal(cold, mode_stack((-4, 0, 2), grid))
 
 
 def test_stack_is_readonly(small_grid):
