@@ -653,7 +653,8 @@ def sphere_sweep(
     texture carries no intensity) are flagged invalid rather than raising.
     Each distinct heralded photon is counted once: samples whose conditional
     state has the same bytes (every azimuth at theta = 0, say) share its
-    number.
+    number.  Unlike a dynamics sweep, the frames render one after another
+    on the calling thread.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
