@@ -33,7 +33,7 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .bell import BellSubspace, bell_curves, chsh_parameter, heralded_werner_state
+from .bell import BellSubspace, _default_subspace, bell_curves, chsh_parameter, heralded_werner_state
 from .errors import ConfigError, MissingInputError, QskyrmError
 from .export import (
     config_hash,
@@ -645,14 +645,10 @@ def cmd_bell(cfg: RunConfig) -> None:
     if cfg.werner_p is not None:
         pair = cfg.pair if cfg.pair is not None else (0, -2)
         state = heralded_werner_state(cfg.werner_p, pair, cfg.pol_b)
-        subspace = BellSubspace(cfg.pol_b, pair)
     else:
         state = _resolve_state(cfg)
-        if cfg.pair is not None:
-            subspace = BellSubspace(cfg.pol_b, cfg.pair)
-        else:
-            ells = state.space.oam_basis("B").ells
-            subspace = BellSubspace(cfg.pol_b, (ells[0], ells[1]))
+        pair = cfg.pair if cfg.pair is not None else _default_subspace(state).pair
+    subspace = BellSubspace(cfg.pol_b, pair)
     curves = bell_curves(state, subspace)
     header, rows = curves_rows(curves)
     write_csv(_out(cfg, "bell_fringes.csv"), header, rows)

@@ -92,25 +92,22 @@ class UnitStokesField:
     """Reduced Stokes vector field.
 
     ``s`` has shape (3, ny, nx) holding (s1, s2, s3), NaN on a cell where the
-    field vanishes.  ``mask`` marks the cells whose physical intensity ``s0``
-    cleared the floor.
+    field vanishes.  ``mask`` marks the cells whose physical intensity
+    cleared the floor of :func:`normalize_stokes`.
     """
 
     grid: GridSpec
     s: np.ndarray
     mask: np.ndarray
-    s0: np.ndarray
-    intensity_floor: float
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
-        s0 = np.asarray(self.s0, dtype=float)
         if s.shape != (3,) + self.grid.shape:
             raise ValueError(f"expected s shape {(3,) + self.grid.shape}, got {s.shape}")
-        if mask.shape != self.grid.shape or s0.shape != self.grid.shape:
-            raise ValueError("mask and s0 must match the grid shape")
-        for name, arr in (("s", s), ("mask", mask), ("s0", s0)):
+        if mask.shape != self.grid.shape:
+            raise ValueError("mask must match the grid shape")
+        for name, arr in (("s", s), ("mask", mask)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -195,7 +192,7 @@ def normalize_stokes(
         raise EmptyFieldError("field carries no intensity")
     with np.errstate(invalid="ignore"):
         s = free[1:] / free[0]
-    return UnitStokesField(field.grid, s, s0 >= intensity_floor * peak, s0, intensity_floor)
+    return UnitStokesField(field.grid, s, s0 >= intensity_floor * peak)
 
 
 def orientation_psi(field) -> np.ndarray:

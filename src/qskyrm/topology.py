@@ -17,8 +17,9 @@ module sweeps heralding angles over the projection sphere (rendering each
 distinct heralded photon once), decomposes a multi-core texture into
 quasiparticle regions, and follows those regions through a parameter sweep
 to extract their orbital and internal-rotation (spin) dynamics.  The frames
-of one dynamics sweep render concurrently, on a thread pool of that call
-(see :func:`_frames_in_pool`).
+of one dynamics sweep render concurrently, on a thread pool of that call,
+and reach its ``on_frame`` callback in sample order (see
+:func:`track_dynamics`).
 
 A pure photon needs no grid for its number.  Each circular component is the
 common Gaussian exp(-r^2/w^2)/w times sum_l c_l N_l tau^|l|, with
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -143,26 +143,23 @@ class SkyrmionDensityField:
     """Pointwise topological density sigma (1/area units, 1/4pi included).
 
     ``spin`` carries the unit vector field the density came from; the
-    segmentation needs it to find core regions (see module docstring).  It is
-    filled by :func:`skyrmion_density` and None on densities built by hand.
+    segmentation needs it to find core regions (see module docstring).
     """
 
     grid: GridSpec
     sigma: np.ndarray
-    spin: np.ndarray | None = None
+    spin: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.sigma, dtype=float)
         if arr.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "sigma", arr)
-        if self.spin is not None:
-            s = np.asarray(self.spin, dtype=float)
-            if s.shape != (3,) + self.grid.shape:
-                raise ValueError(f"spin must have shape {(3,) + self.grid.shape}")
-            s.setflags(write=False)
-            object.__setattr__(self, "spin", s)
+        s = np.asarray(self.spin, dtype=float)
+        if s.shape != (3,) + self.grid.shape:
+            raise ValueError(f"spin must have shape {(3,) + self.grid.shape}")
+        for name, a in (("sigma", arr), ("spin", s)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -353,7 +350,7 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
         c[..., 2] -= np.multiply(sx[1], sy[0], out=t)
         np.einsum("iyx,iyx->yx", strip, np.moveaxis(c, -1, 0), out=sigma[r0:r1])
     sigma /= 4.0 * math.pi
-    return SkyrmionDensityField(grid, sigma, spin=s)
+    return SkyrmionDensityField(grid, sigma, s)
 
 
 def skyrmion_number(density: SkyrmionDensityField) -> float:
@@ -387,50 +384,6 @@ def _warm_frame_caches(state: State, grid: GridSpec) -> None:
         if axis.kind == "oam":
             mode_stack(axis.basis.ells, grid)
     _intensity_envelope(grid)
-
-
-def _frames_in_pool(work: Callable[[int], tuple], count: int, deliver: Callable[..., None] | None) -> list:
-    """``work(i)`` for each i < ``count`` on a thread pool of this call.
-
-    ``work(i)`` returns ``(result, shown)``; the list of results comes back
-    in sample order.  numpy releases the interpreter lock inside its array
-    loops, so the frames of one sweep overlap.  The pool has one thread per
-    CPU this process may run on (``os.sched_getaffinity``), at most
-    ``_MAX_FRAME_WORKERS``: one CPU gives a pool of one.  ``deliver(i,
-    *shown)``, when given, is called for every sample whose ``shown`` is not
-    None, on the thread that computed it, in sample order: a sample's turn
-    comes once every earlier sample has been delivered or has none to
-    deliver.  A sample that raises ends the deliveries in its turn, so no
-    later sample is delivered; the first such exception, in sample order, is
-    raised once every running sample is done, and samples not yet started
-    are dropped.
-    """
-    turns = [threading.Event() for _ in range(count)]
-    broken = threading.Event()  # an earlier sample raised
-
-    def run(i: int):
-        try:
-            try:
-                result, shown = work(i)
-            finally:
-                if i:
-                    turns[i - 1].wait()
-            if shown is not None and deliver is not None and not broken.is_set():
-                deliver(i, *shown)
-            return result
-        except BaseException:
-            broken.set()
-            raise
-        finally:
-            turns[i].set()
-
-    workers = min(len(os.sched_getaffinity(0)), _MAX_FRAME_WORKERS)
-    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qskyrm-frame")
-    try:
-        futures = [pool.submit(run, i) for i in range(count)]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +689,6 @@ def locate_quasiparticles(
     grid = density.grid
     if central_radius is None:
         central_radius = grid.waist
-    if density.spin is None:
-        raise UnsupportedStateError(
-            "density carries no spin field; build it with skyrmion_density"
-        )
     area = grid.cell_area
     total = skyrmion_number(density)
 
@@ -924,23 +873,29 @@ def track_dynamics(
     their region (e.g. cores merging into the central structure) end; their
     later entries stay NaN.
 
-    The samples' frames render concurrently, on a pool of one thread per
-    CPU this process may use (at most two): each sample's herald, frame,
-    segmentation and co-moving phases run on a pool thread, and the linking
+    The samples' frames render concurrently, on a thread pool of this call
+    with one thread per CPU the process may run on (``os.sched_getaffinity``),
+    at most ``_MAX_FRAME_WORKERS``; numpy releases the interpreter lock in
+    its array loops, so the frames overlap.  Each sample's herald, frame,
+    segmentation and co-moving phases run as one pool task, and the linking
     on the calling thread.  ``on_frame(i, unit, density, psi)``, when given,
     is called with each sample's texture, density and orientation map ψ once
     its quasiparticles are located, on the thread that rendered it, in
-    sample order and never two at a time; samples dropped for zero heralding
-    probability or an empty field are not passed to it.  A sample that
-    raises stops the sweep: no later sample is passed to ``on_frame``, and
-    its exception is raised.
+    sample order and never two at a time: a task waits on the previous
+    sample's future before it delivers, and that wait re-raises the previous
+    sample's failure.  Samples dropped for zero heralding probability or an
+    empty field are not passed to it.  A sample that raises, in rendering or
+    in ``on_frame``, stops the sweep: no later sample is delivered, the first
+    failure in sample order is raised once the running samples are done, and
+    queued samples are dropped.  The pool's queue is first in, first out, so
+    the sample a task waits on has already started.
     """
     sweep = list(sweep)
     sweep_param, values = _sweep_axis(sweep)
     if grid is None:
         grid = GridSpec()
 
-    def sample(i: int) -> tuple[list[tuple[float, float, float]], tuple | None]:
+    def render(i: int) -> tuple[list[tuple[float, float, float]], tuple | None]:
         try:
             photon, _ = herald_polarization(state, sweep[i])
             unit, density = photon_frame(photon, grid)
@@ -952,8 +907,26 @@ def track_dynamics(
         entries = [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]
         return entries, (unit, density, psi)
 
+    def sample(i: int) -> list[tuple[float, float, float]]:
+        # render's temporaries (labels, 2 psi) are freed before the task waits
+        entries, frame = render(i)
+        if i:
+            futures[i - 1].result()
+        if frame is not None and on_frame is not None:
+            on_frame(i, *frame)
+        return entries
+
     _warm_frame_caches(state, grid)
-    per_sample = _frames_in_pool(sample, len(sweep), on_frame)
+    # filled one submission at a time, so a task finds its predecessor's future
+    futures = []
+    workers = min(len(os.sched_getaffinity(0)), _MAX_FRAME_WORKERS)
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qskyrm-frame")
+    try:
+        for i in range(len(sweep)):
+            futures.append(pool.submit(sample, i))
+        per_sample = [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     radii, orbit, spin, ambiguous = _link_tracks(per_sample)
     counts = tuple(len(entries) for entries in per_sample)
     return DynamicsTrace(sweep_param, values, radii, orbit, spin, counts, ambiguous)

@@ -79,8 +79,7 @@ def density_of(grid, s3, phi):
     in-plane angle ``phi``."""
     rho = np.sqrt(1.0 - s3**2)
     s = np.stack([rho * np.cos(phi), rho * np.sin(phi), s3])
-    ones = np.ones(grid.shape)
-    return skyrmion_density(UnitStokesField(grid, s, ones > 0, ones, 1e-6))
+    return skyrmion_density(UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool)))
 
 
 def assert_same_report(got, want):

@@ -6,15 +6,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qskyrm import (
     GridSpec,
+    OamBasis,
     ProjectionAngles,
     QPlateParams,
+    Space,
+    State,
     build_spin_skyrmion_state,
     conditional_stokes,
     normalize_stokes,
+    save_state,
     skyrmion_density,
 )
 from qskyrm import cli, topology
@@ -459,6 +464,16 @@ def test_bell_ideal_and_werner(tmp_path):
     doc = read_json(out_b / "bell.json")
     assert abs(doc["s_value"] - 2.5455844122715714) < 1e-9
     assert (out_b / "bell_fringes.csv").exists()
+
+
+def test_bell_on_one_charge_is_numerical_failure(tmp_path, capsys):
+    # photon B's basis holds a single charge, so no default pair exists
+    space = Space.tripartite(OamBasis((0,)))
+    state = State(space, "pure", np.eye(space.dim, dtype=complex)[0])
+    path = tmp_path / "one_charge.json"
+    save_state(path, state)
+    assert main(["bell", "--out", str(tmp_path / "o"), "--state", str(path)]) == 4
+    assert "needs at least two OAM charges" in capsys.readouterr().err
 
 
 def test_successive_main_calls_share_no_flag_values(tmp_path):

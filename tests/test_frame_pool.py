@@ -4,7 +4,8 @@ results.
 ``track_dynamics`` renders its frames on a thread pool sized by the CPUs the
 process may use.  Each test here builds the serial result from the same
 stages and requires equal arrays, or checks the order and failure rules of
-the ``on_frame`` callback.  The density-state sphere sweep, whose frames
+the ``on_frame`` callback, the latter on pools of one, two and eight threads
+whatever the host's CPUs.  The density-state sphere sweep, whose frames
 share the same mode caches, is checked against its serial reference too.
 """
 
@@ -79,6 +80,15 @@ def unheralded_middle(monkeypatch):
 
     monkeypatch.setattr(topology, "herald_polarization", heralding)
     return balanced_switch_state((0, -2, -4)), sweep
+
+
+@pytest.fixture(params=[1, 2, 8])
+def pool_size(request, monkeypatch):
+    """A frame pool of one, two or eight threads, whatever CPUs the host has."""
+    workers = request.param
+    monkeypatch.setattr(topology, "_MAX_FRAME_WORKERS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    return workers
 
 
 def _plate_off():
@@ -172,7 +182,7 @@ def test_density_sphere_matches_serial_reference(binary_state):
 FAILING_THETAS = (1.6, 1.2, 0.8, 0.0, 0.4, 2.0)
 
 
-def test_failed_frame_ends_the_deliveries():
+def test_failed_frame_ends_the_deliveries(pool_size):
     state = balanced_switch_state((-2, -4, 0))
     sweep = [ProjectionAngles(t, 0.3) for t in FAILING_THETAS]
     shown = []
@@ -191,10 +201,9 @@ def test_failed_frame_exits_4(tmp_path, capsys):
     assert frames == [f"frame_{i:03d}_sigma.pgm" for i in range(3)]
 
 
-def test_first_failure_in_sample_order_is_raised(monkeypatch):
-    # sample 3 fails on the second thread while sample 2 is still running;
-    # sample 2's error is the one raised
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_first_failure_in_sample_order_is_raised(monkeypatch, pool_size):
+    # on two threads or more, sample 3 fails while sample 2 is still
+    # running; sample 2's error is the one raised
     sweep = [ProjectionAngles(1.26, a) for a in np.linspace(0.0, 2.0, 6)]
     herald = topology.herald_polarization
 
@@ -212,4 +221,29 @@ def test_first_failure_in_sample_order_is_raised(monkeypatch):
         track_dynamics(
             balanced_switch_state((0, -2, -4)), sweep, GRID, on_frame=lambda i, *frame: shown.append(i)
         )
+    assert shown == [0, 1]
+
+
+def test_failing_callback_ends_the_deliveries(unheralded_middle, pool_size):
+    # on_frame raises at sample 1: a pool of one then runs sample 2, which
+    # must not wait for a delivery that never comes
+    state, sweep = unheralded_middle
+    shown, result, errors = [], [], []
+
+    def on_frame(i, unit, density, psi):
+        shown.append(i)
+        if i == 1:
+            raise RuntimeError("on_frame at sample 1")
+
+    def run():
+        try:
+            result.append(track_dynamics(state, sweep, GRID, on_frame=on_frame))
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=120.0)
+    assert not runner.is_alive()
+    assert result == [] and errors == ["on_frame at sample 1"]
     assert shown == [0, 1]

@@ -169,11 +169,12 @@ def test_unit_field_is_the_physical_texture(sample):
     # on every lit cell, and on every dark one where the physical S0 is still
     # a normal float: nothing is filled in
     state, grid = sample
-    unit = normalize_stokes(stokes_of_photon_state(state, grid))
+    field = stokes_of_photon_state(state, grid)
+    unit = normalize_stokes(field)
     want = physical_stokes(state, grid)
     cells = unit.mask | (want[0] > 1e-250)
     np.testing.assert_allclose(unit.s[:, cells], want[1:, cells] / want[0, cells], rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(unit.s0, want[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(field.s0, want[0], rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

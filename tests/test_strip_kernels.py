@@ -110,16 +110,14 @@ def test_strip_density_matches_whole_grid_in_both_layouts(photon, ny, nx):
 def uniform_field(grid, value=1.0):
     s = np.zeros((3,) + grid.shape)
     s[2] = value
-    return UnitStokesField(
-        grid, s, np.ones(grid.shape, dtype=bool), np.ones(grid.shape), 1e-6
-    )
+    return UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool))
 
 
 def with_nan_cells(field, fraction):
     s = field.s.copy()
     n = round(fraction * s[0].size)
     s[0].reshape(-1)[:n] = np.nan
-    return UnitStokesField(field.grid, s, field.mask, field.s0, field.intensity_floor)
+    return UnitStokesField(field.grid, s, field.mask)
 
 
 def test_density_gate_passes_four_percent_nan_cells():

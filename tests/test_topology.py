@@ -11,10 +11,8 @@ from qskyrm import (
     InsufficientCoverageError,
     ProjectionAngles,
     QPlateParams,
-    SkyrmionDensityField,
     State,
     UnitStokesField,
-    UnsupportedStateError,
     ZeroProbabilityError,
     balanced_switch_state,
     build_spin_skyrmion_state,
@@ -39,9 +37,7 @@ def uniform_unit_field(grid, direction=(0.0, 0.0, 1.0)):
     s = np.zeros((3,) + grid.shape)
     for k, v in enumerate(direction):
         s[k] = v
-    mask = np.ones(grid.shape, dtype=bool)
-    s0 = np.ones(grid.shape)
-    return UnitStokesField(grid, s, mask, s0, 1e-6)
+    return UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +56,7 @@ def test_density_requires_coverage(small_grid):
     field = uniform_unit_field(small_grid)
     s = field.s.copy()
     s[:, : small_grid.ny // 8, :] = np.nan  # blank out 12.5% of the rows
-    broken = UnitStokesField(small_grid, s, field.mask, field.s0, 1e-6)
+    broken = UnitStokesField(small_grid, s, field.mask)
     with pytest.raises(InsufficientCoverageError):
         skyrmion_density(broken)
 
@@ -71,7 +67,7 @@ def test_number_rejects_non_finite_density(small_grid, binary_state):
     unit = unit_texture(small_grid, binary_state)
     s = unit.s.copy()
     s[:, 60:62, :] = np.nan
-    broken = UnitStokesField(small_grid, s, unit.mask, unit.s0, unit.intensity_floor)
+    broken = UnitStokesField(small_grid, s, unit.mask)
     density = skyrmion_density(broken)
     with pytest.raises(InsufficientCoverageError, match=r"finite on 9\d\.\d%"):
         skyrmion_number(density)
@@ -221,12 +217,6 @@ def test_sphere_sweep_flags_empty_fields_invalid(binary_state, monkeypatch):
 # ---------------------------------------------------------------------------
 # segmentation
 # ---------------------------------------------------------------------------
-
-
-def test_locate_requires_spin_field(small_grid):
-    bare = SkyrmionDensityField(small_grid, np.zeros(small_grid.shape))
-    with pytest.raises(UnsupportedStateError):
-        locate_quasiparticles(bare)
 
 
 def test_uniform_cap_is_all_central(small_grid):
