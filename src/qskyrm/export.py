@@ -104,15 +104,20 @@ def write_pgm(path, array: np.ndarray) -> None:
         lo = float(arr[finite].min()) if finite.any() else 0.0
         hi = float(arr[finite].max()) if finite.any() else 0.0
         arr = np.where(finite, arr, lo)
+    # ((arr - lo) / (hi - lo) * 65535) rounded half to even, worked in one
+    # buffer: the same operations in the same order as out of place
     if hi > lo:
-        scaled = (arr - lo) / (hi - lo)
+        scaled = np.subtract(arr, lo)
+        scaled /= hi - lo
     else:
         scaled = np.zeros_like(arr)
-    pixels = np.round(scaled * 65535.0).astype(">u2")
+    scaled *= 65535.0
+    np.rint(scaled, out=scaled)
+    pixels = scaled.astype(">u2")
     height, width = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(pixels)  # C-contiguous: written through the buffer protocol
     write_json(
         os.fspath(path) + ".json",
         {

@@ -49,8 +49,8 @@ __all__ = ["GridSpec", "lg_mode", "mode_stack", "grid_axes", "polar_coords", "ro
 
 _MAX_CHARGE = 256
 
-# rows per block of a per-frame pass; at 512 columns a (32, 512, 3) float
-# buffer is 384 KiB
+# rows per block of a per-frame pass; at 512 columns a (4, 32, 512) float
+# buffer is 512 KiB
 ROW_STRIP = 32
 
 

@@ -11,10 +11,9 @@ each sample::
 with ``P(r) = sum_k E_k(r) E_k(r)^dag`` summed over the state's ket ensemble
 (:meth:`State.kets`), where ``E_k = (E_R, E_L)`` is the field of ket k: one
 term for a pure state, one per positive eigenvalue of a density matrix.  The
-maps are synthesized one ket and one block of grid rows
-(:func:`~qskyrm.modes.row_strips`) at a time, so the complex fields stay
-cache-sized; each cell sees the same arithmetic, in the same ket order, as a
-whole-grid synthesis.
+maps are synthesized one block of grid rows (:func:`~qskyrm.modes.row_strips`)
+and one ket at a time, so the complex fields stay cache-sized; each cell sees
+the same arithmetic, in the same ket order, as a whole-grid synthesis.
 
 Every mode shares the Gaussian exp(-r^2/w^2), so the synthesis runs on the
 envelope-free profiles (:func:`~qskyrm.modes.mode_stack`) and a
@@ -25,6 +24,12 @@ factor, and off the envelope no cell of the window underflows, so s is
 defined on every cell where some ket's field is nonzero: unit length for a
 pure photon, |s| <= 1 for a mixed one.  An intensity floor on the physical
 S0 only marks which cells a detector would resolve.
+
+A frame needs only the texture, so the frame path builds no Stokes maps:
+:func:`unit_texture` divides each block of rows into s while the block is
+still in cache, and returns bit for bit
+``normalize_stokes(stokes_of_photon_state(photon, grid))``.  Both paths run
+the same block kernel, division and checks.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from .errors import EmptyFieldError, InsufficientCoverageError, UnsupportedStateError
 from .hilbert import ProjectionAngles, State, herald_polarization
-from .modes import GridSpec, _intensity_envelope, mode_stack, row_strips
+from .modes import ROW_STRIP, GridSpec, _intensity_envelope, mode_stack, row_strips
 
 __all__ = [
     "StokesField",
@@ -44,6 +49,7 @@ __all__ = [
     "stokes_of_photon_state",
     "conditional_stokes",
     "normalize_stokes",
+    "unit_texture",
     "orientation_psi",
 ]
 
@@ -93,7 +99,7 @@ class UnitStokesField:
 
     ``s`` has shape (3, ny, nx) holding (s1, s2, s3), NaN on a cell where the
     field vanishes.  ``mask`` marks the cells whose physical intensity
-    cleared the floor of :func:`normalize_stokes`.
+    cleared the floor of :func:`normalize_stokes` or :func:`unit_texture`.
     """
 
     grid: GridSpec
@@ -128,32 +134,54 @@ def _photon_axes(state: State) -> tuple[int, int]:
     return pol[0], oam[0]
 
 
-def stokes_of_photon_state(state: State, grid: GridSpec) -> StokesField:
-    """Stokes maps of a single-photon polarization x OAM state (pure or mixed),
-    summed over the state's ket ensemble."""
+def _kets_and_modes(state: State, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The state's ket ensemble as (rank, 2 polarizations, n charges), and the
+    envelope-free mode stack of its charges on ``grid``."""
     ip, io = _photon_axes(state)
-    basis = state.space.axes[io].basis
-    modes = mode_stack(basis.ells, grid)
+    modes = mode_stack(state.space.axes[io].basis.ells, grid)
     kets = state.kets()
     if ip == 1:
         kets = np.swapaxes(kets, 1, 2)
+    return kets, modes
 
-    # starts at -0.0, since -0.0 + x == x for every x, signed zeros included;
-    # one ket's field at a time: a (rank, 2, ny, nx) field stack is slower;
-    # and that over row strips, so the (2, rows, nx) field stays cache-sized.
-    # An overflow leaves a non-finite cell, which normalize_stokes reports.
-    free = np.full((4,) + grid.shape, -0.0)
+
+def _stokes_strip(kets: np.ndarray, modes_rows: np.ndarray, out: np.ndarray) -> None:
+    """Envelope-free (S0, S1, S2, S3) of a ket ensemble on one block of rows,
+    into ``out`` (4, rows, nx); ``modes_rows`` holds the block's mode profiles.
+
+    One ket's field at a time (a (rank, 2, rows, nx) field stack is slower):
+    the first ket assigns its terms and later ones add theirs, in ensemble
+    order.  That is the arithmetic of a sum begun at -0.0, since -0.0 + x == x
+    for every x, signed zeros included.  An overflow leaves a non-finite
+    cell, which the texture's checks report.
+    """
+    # np.tensordot(amp, modes_rows, axes=(1, 0)) reduces to this same dot;
+    # calling it directly skips tensordot's axis bookkeeping per ket and block
+    flat_modes = modes_rows.reshape(len(modes_rows), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for amp in kets:
-            for r0, r1 in row_strips(grid.ny):
-                u, v = np.tensordot(amp, modes[:, r0:r1], axes=(1, 0))  # (2, rows, nx)
-                pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
-                cross = 2.0 * np.conj(u) * v
-                out = free[:, r0:r1]
+        for k, amp in enumerate(kets):
+            u, v = np.dot(amp, flat_modes).reshape((2,) + modes_rows.shape[1:])
+            pu, pv = np.abs(u) ** 2, np.abs(v) ** 2
+            cross = 2.0 * np.conj(u) * v
+            if k == 0:
+                np.add(pu, pv, out=out[0])
+                out[1] = cross.real
+                out[2] = cross.imag
+                np.subtract(pu, pv, out=out[3])
+            else:
                 out[0] += pu + pv
                 out[1] += cross.real
                 out[2] += cross.imag
                 out[3] += pu - pv
+
+
+def stokes_of_photon_state(state: State, grid: GridSpec) -> StokesField:
+    """Stokes maps of a single-photon polarization x OAM state (pure or mixed),
+    summed over the state's ket ensemble."""
+    kets, modes = _kets_and_modes(state, grid)
+    free = np.empty((4,) + grid.shape)
+    for r0, r1 in row_strips(grid.ny):
+        _stokes_strip(kets, modes[:, r0:r1], free[:, r0:r1])
     return StokesField(grid, free, _intensity_envelope(grid))
 
 
@@ -163,6 +191,34 @@ def conditional_stokes(
     """Stokes maps of photon B conditioned on heralding photon A at ``angles``."""
     conditional, _ = herald_polarization(state, angles)
     return stokes_of_photon_state(conditional, grid)
+
+
+def _check_floor(intensity_floor: float) -> None:
+    if not 0.0 < intensity_floor <= 1.0:
+        raise ValueError(f"intensity_floor must lie in (0, 1], got {intensity_floor}")
+
+
+def _divide_rows(free: np.ndarray, envelope: np.ndarray, s: np.ndarray, s0: np.ndarray) -> None:
+    """s = (S1, S2, S3)/S0 and the physical S0 of a block of rows of
+    envelope-free maps ``free`` (4, rows, nx), into ``s`` (3, rows, nx) and
+    ``s0`` (rows, nx).  Raises :class:`InsufficientCoverageError` when the
+    block overflows."""
+    # S0 bounds |S1|, |S2| and |S3|: a finite S0 is a finite field
+    if not math.isfinite(float(free[0].max())):
+        raise InsufficientCoverageError("the Stokes field overflows on this window")
+    with np.errstate(invalid="ignore"):
+        np.divide(free[1:], free[0], out=s)
+    np.multiply(free[0], envelope, out=s0)
+
+
+def _masked(grid: GridSpec, s: np.ndarray, s0: np.ndarray, intensity_floor: float) -> UnitStokesField:
+    """The texture ``s`` with the mask of the cells whose physical ``s0``
+    reaches ``intensity_floor`` of its peak.  Raises :class:`EmptyFieldError`
+    when the field carries no intensity."""
+    peak = float(s0.max())
+    if not peak > 0.0:
+        raise EmptyFieldError("field carries no intensity")
+    return UnitStokesField(grid, s, s0 >= intensity_floor * peak)
 
 
 def normalize_stokes(
@@ -180,19 +236,37 @@ def normalize_stokes(
     Raises :class:`EmptyFieldError` when the field carries no intensity, and
     :class:`InsufficientCoverageError` when the envelope-free maps overflow.
     """
-    if not 0.0 < intensity_floor <= 1.0:
-        raise ValueError(f"intensity_floor must lie in (0, 1], got {intensity_floor}")
-    free = field.free
-    # S0 bounds |S1|, |S2| and |S3|: a finite S0 is a finite field
-    if not math.isfinite(float(free[0].max())):
-        raise InsufficientCoverageError("the Stokes field overflows on this window")
-    s0 = field.s0
-    peak = float(s0.max())
-    if not peak > 0.0:
-        raise EmptyFieldError("field carries no intensity")
-    with np.errstate(invalid="ignore"):
-        s = free[1:] / free[0]
-    return UnitStokesField(field.grid, s, s0 >= intensity_floor * peak)
+    _check_floor(intensity_floor)
+    grid = field.grid
+    s = np.empty((3,) + grid.shape)
+    s0 = np.empty(grid.shape)
+    _divide_rows(field.free, field.envelope, s, s0)
+    return _masked(grid, s, s0, intensity_floor)
+
+
+def unit_texture(
+    photon: State, grid: GridSpec, intensity_floor: float = DEFAULT_INTENSITY_FLOOR
+) -> UnitStokesField:
+    """``normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)``,
+    bit for bit, without building the (4, ny, nx) Stokes maps.
+
+    One pass over blocks of rows: each block's envelope-free maps are
+    synthesized into one reused (4, ROW_STRIP, nx) buffer and divided into s
+    while they are still in cache; the block's physical S0 goes into the
+    grid-sized map that the mask is read from.  Raises what
+    :func:`normalize_stokes` raises, in the same cases.
+    """
+    _check_floor(intensity_floor)
+    kets, modes = _kets_and_modes(photon, grid)
+    envelope = _intensity_envelope(grid)
+    s = np.empty((3,) + grid.shape)
+    s0 = np.empty(grid.shape)
+    strip = np.empty((4, ROW_STRIP, grid.nx))
+    for r0, r1 in row_strips(grid.ny):
+        rows = strip[:, : r1 - r0]
+        _stokes_strip(kets, modes[:, r0:r1], rows)
+        _divide_rows(rows, envelope[r0:r1], s[:, r0:r1], s0[r0:r1])
+    return _masked(grid, s, s0, intensity_floor)
 
 
 def orientation_psi(field) -> np.ndarray:

@@ -11,15 +11,16 @@ blocks of grid rows so its temporaries stay cache-sized; the blocks give
 bit-for-bit the whole-grid sum (see :func:`skyrmion_density`).
 
 Every frame of a heralded photon, wherever it is used, comes from one
-function, :func:`photon_frame`: envelope-free Stokes synthesis, the unit
-texture s = S/S0 on every cell, skyrmion density.  On top of it this
-module sweeps heralding angles over the projection sphere (rendering each
-distinct heralded photon once), decomposes a multi-core texture into
-quasiparticle regions, and follows those regions through a parameter sweep
-to extract their orbital and internal-rotation (spin) dynamics.  The frames
-of one dynamics sweep render concurrently, on a thread pool of that call,
-and reach its ``on_frame`` callback in sample order (see
-:func:`track_dynamics`).
+function, :func:`photon_frame`: the unit texture s = S/S0 on every cell,
+synthesized block by block of rows from the photon's kets without building
+its Stokes maps (:func:`~qskyrm.stokesfield.unit_texture`), then skyrmion
+density.  On top of it this module sweeps heralding angles over the
+projection sphere (rendering each distinct heralded photon once), decomposes
+a multi-core texture into quasiparticle regions, and follows those regions
+through a parameter sweep to extract their orbital and internal-rotation
+(spin) dynamics.  The frames of one dynamics sweep render concurrently, on a
+thread pool of that call, and reach its ``on_frame`` callback in sample
+order (see :func:`track_dynamics`).
 
 A pure photon needs no grid for its number.  Each circular component is the
 common Gaussian exp(-r^2/w^2)/w times sum_l c_l N_l tau^|l|, with
@@ -101,13 +102,7 @@ from .modes import (
     mode_stack,
     row_strips,
 )
-from .stokesfield import (
-    UnitStokesField,
-    _photon_axes,
-    normalize_stokes,
-    orientation_psi,
-    stokes_of_photon_state,
-)
+from .stokesfield import UnitStokesField, _photon_axes, orientation_psi, unit_texture
 
 __all__ = [
     "SkyrmionDensityField",
@@ -198,7 +193,8 @@ class SphereMap:
 
 @dataclass(frozen=True)
 class QuasiparticleRegion:
-    """One non-central watershed region: label, centroid (x, y), charge, area."""
+    """One satellite core region (a component of the polar-cap preimage, see
+    the module docstring): label, centroid (x, y), charge, area."""
 
     label: int
     centroid: tuple[float, float]
@@ -292,8 +288,9 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
     """Pointwise wrapping density of a unit Stokes field.
 
     The field must be defined (finite) on at least 95% of the grid; fields
-    from :func:`~qskyrm.stokesfield.normalize_stokes` are defined on every
-    cell where the field does not vanish.
+    from :func:`~qskyrm.stokesfield.unit_texture` or
+    :func:`~qskyrm.stokesfield.normalize_stokes` are defined on every cell
+    where the field does not vanish.
 
     The grid is evaluated in blocks of rows (:func:`~qskyrm.modes.row_strips`)
     with one halo row on each side for the y derivative, so the temporaries
@@ -317,18 +314,25 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
     grid = field.grid
     dx, dy = grid.dx, grid.dy
     ny, nx = grid.shape
+    # each component's rows end to end, for the x differences below
+    flat = np.ascontiguousarray(s).reshape(3, ny * nx)
     sigma = np.empty((ny, nx))
-    grad_x = np.empty((3, ROW_STRIP, nx))
+    grad_x = np.empty((3, ROW_STRIP * nx))
     grad_y = np.empty((3, ROW_STRIP, nx))
-    cross = np.empty((ROW_STRIP, nx, 3))
+    cross = np.empty((3, ROW_STRIP, nx))
     tmp = np.empty((ROW_STRIP, nx))
     for r0, r1 in row_strips(ny):
         rows = r1 - r0
         strip = s[:, r0:r1]
-        sx, sy = grad_x[:, :rows], grad_y[:, :rows]
+        flat_x = grad_x[:, : rows * nx]
+        sx, sy = flat_x.reshape(3, rows, nx), grad_y[:, :rows]
         # np.gradient(s, dx, axis=2) on the strip, term for term: central
-        # differences over 2 dx inside, one-sided over dx at the two edges
-        _difference(strip[..., 2:], strip[..., :-2], 2.0 * dx, sx[..., 1:-1])
+        # differences over 2 dx inside, one-sided over dx at the two edges.
+        # The central ones run in one contiguous pass along the strip's rows
+        # laid end to end; the pairs that straddle two rows land on edge
+        # cells, which the one-sided differences then overwrite
+        f = flat[:, r0 * nx : r1 * nx]
+        _difference(f[:, 2:], f[:, :-2], 2.0 * dx, flat_x[:, 1:-1])
         _difference(strip[..., 1], strip[..., 0], dx, sx[..., 0])
         _difference(strip[..., -1], strip[..., -2], dx, sx[..., -1])
         # np.gradient(s, dy, axis=1) on the strip's rows: central inside the
@@ -340,15 +344,15 @@ def skyrmion_density(field: UnitStokesField) -> SkyrmionDensityField:
             _difference(s[:, 1], s[:, 0], dy, sy[:, 0])
         if r1 == ny:
             _difference(s[:, -1], s[:, -2], dy, sy[:, -1])
-        c, t = cross[:rows], tmp[:rows]
+        c, t = cross[:, :rows], tmp[:rows]
         # np.cross(sx, sy, axis=0), term for term
-        np.multiply(sx[1], sy[2], out=c[..., 0])
-        c[..., 0] -= np.multiply(sx[2], sy[1], out=t)
-        np.multiply(sx[2], sy[0], out=c[..., 1])
-        c[..., 1] -= np.multiply(sx[0], sy[2], out=t)
-        np.multiply(sx[0], sy[1], out=c[..., 2])
-        c[..., 2] -= np.multiply(sx[1], sy[0], out=t)
-        np.einsum("iyx,iyx->yx", strip, np.moveaxis(c, -1, 0), out=sigma[r0:r1])
+        np.multiply(sx[1], sy[2], out=c[0])
+        c[0] -= np.multiply(sx[2], sy[1], out=t)
+        np.multiply(sx[2], sy[0], out=c[1])
+        c[1] -= np.multiply(sx[0], sy[2], out=t)
+        np.multiply(sx[0], sy[1], out=c[2])
+        c[2] -= np.multiply(sx[1], sy[0], out=t)
+        np.einsum("iyx,iyx->yx", strip, c, out=sigma[r0:r1])
     sigma /= 4.0 * math.pi
     return SkyrmionDensityField(grid, sigma, s)
 
@@ -370,9 +374,9 @@ def skyrmion_number(density: SkyrmionDensityField) -> float:
 
 
 def photon_frame(photon: State, grid: GridSpec) -> tuple[UnitStokesField, SkyrmionDensityField]:
-    """Unit Stokes field and skyrmion density of a single-photon state:
-    Stokes synthesis, unit texture, density."""
-    unit = normalize_stokes(stokes_of_photon_state(photon, grid))
+    """Unit Stokes field and skyrmion density of a single-photon state: the
+    unit texture straight from the kets, then the density."""
+    unit = unit_texture(photon, grid)
     return unit, skyrmion_density(unit)
 
 
@@ -643,16 +647,15 @@ def sphere_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cap_crop(s3: np.ndarray, pad: tuple[int, int]) -> tuple[slice, slice] | None:
-    """Bounding box of the cells with s3 above the cap level (less 1e-9),
-    widened by ``pad`` cells per axis and clipped to the grid; None when no
-    cell comes that close to the cap."""
-    near = s3 > _CAP_LEVEL - 1e-9
-    rows = np.flatnonzero(near.any(axis=1))
+def _bounding_box(cells: np.ndarray, pad: tuple[int, int] = (0, 0)) -> tuple[slice, slice] | None:
+    """Bounding box of the nonzero entries of the 2-D ``cells``, widened by
+    ``pad`` cells per axis and clipped to the grid; None when every entry is
+    zero."""
+    rows = np.flatnonzero(cells.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(near.any(axis=0))
-    (ny, nx), (py, px) = s3.shape, pad
+    cols = np.flatnonzero(cells.any(axis=0))
+    (ny, nx), (py, px) = cells.shape, pad
     return (
         slice(max(int(rows[0]) - py, 0), min(int(rows[-1]) + 1 + py, ny)),
         slice(max(int(cols[0]) - px, 0), min(int(cols[-1]) + 1 + px, nx)),
@@ -698,7 +701,8 @@ def locate_quasiparticles(
     width = _SMOOTH_WAIST * grid.waist
     kernel = (max(1.0, width / grid.dy), max(1.0, width / grid.dx))
     # gaussian_filter's default truncation: radius int(4 * width + 0.5)
-    crop = _cap_crop(s3, tuple(2 * int(4.0 * k + 0.5) for k in kernel))
+    # the crop: cells with s3 above the cap level less 1e-9, widened
+    crop = _bounding_box(s3 > _CAP_LEVEL - 1e-9, tuple(2 * int(4.0 * k + 0.5) for k in kernel))
     if crop is None:
         return QuasiparticleReport(0, (), total, total, labels)
     s3c = s3[crop]
@@ -756,20 +760,26 @@ def _wrap_delta(delta: float) -> float:
 
 def _spin_phase(
     density: SkyrmionDensityField,
-    two_psi: np.ndarray,
+    psi: np.ndarray,
     labels: np.ndarray,
     region: QuasiparticleRegion,
+    box: tuple[slice, slice],
 ) -> float:
     """Winding-compensated texture phase of one region (see module docstring),
-    from the frame's doubled orientation map ``two_psi``."""
-    xx, yy = _meshgrid(density.grid)
-    cells = labels == region.label
+    from the frame's orientation map ``psi``.
+
+    Only ``box``, a block of the grid holding every cell of the region, is
+    read.  Raster order within it is the grid's, so the region's cells come
+    in the grid's order and the sum is the whole grid's.
+    """
+    xx, yy = (m[box] for m in _meshgrid(density.grid))
+    cells = labels[box] == region.label
     cx, cy = region.centroid
     beta = np.arctan2(yy[cells] - cy, xx[cells] - cx)
     # core winding matches the sign of the charge it carries
     winding = math.copysign(1.0, region.charge) if region.charge else -1.0
-    w = np.abs(density.sigma[cells])
-    resultant = np.sum(w * np.exp(1j * (two_psi[cells] - winding * beta)))
+    w = np.abs(density.sigma[box][cells])
+    resultant = np.sum(w * np.exp(1j * (2.0 * psi[box][cells] - winding * beta)))
     return float(np.angle(resultant))
 
 
@@ -903,12 +913,12 @@ def track_dynamics(
             return [], None
         report = locate_quasiparticles(density, central_radius)
         psi = orientation_psi(unit)
-        two_psi = 2.0 * psi
-        entries = [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]
+        box = _bounding_box(report.labels)
+        entries = [(*r.centroid, _spin_phase(density, psi, report.labels, r, box)) for r in report.regions]
         return entries, (unit, density, psi)
 
     def sample(i: int) -> list[tuple[float, float, float]]:
-        # render's temporaries (labels, 2 psi) are freed before the task waits
+        # render's temporaries (the labels) are freed before the task waits
         entries, frame = render(i)
         if i:
             futures[i - 1].result()

@@ -32,16 +32,27 @@ from qskyrm import (
 )
 from qskyrm import topology
 from qskyrm.cli import main
+from qskyrm.modes import _meshgrid
 from qskyrm.stokesfield import orientation_psi
 from qskyrm.topology import (
     _link_tracks,
-    _spin_phase,
     locate_quasiparticles,
     photon_frame,
     skyrmion_number,
 )
 
 GRID = GridSpec(64, 64)
+
+
+def _whole_grid_spin_phase(density, two_psi, labels, region):
+    """The co-moving phase of one region, read on every cell of the grid."""
+    xx, yy = _meshgrid(density.grid)
+    cells = labels == region.label
+    cx, cy = region.centroid
+    beta = np.arctan2(yy[cells] - cy, xx[cells] - cx)
+    winding = math.copysign(1.0, region.charge) if region.charge else -1.0
+    w = np.abs(density.sigma[cells])
+    return float(np.angle(np.sum(w * np.exp(1j * (two_psi[cells] - winding * beta)))))
 
 
 def _serial_dynamics(state, sweep, grid):
@@ -58,7 +69,8 @@ def _serial_dynamics(state, sweep, grid):
         report = locate_quasiparticles(density)
         two_psi = 2.0 * orientation_psi(unit)
         per_sample.append(
-            [(*r.centroid, _spin_phase(density, two_psi, report.labels, r)) for r in report.regions]
+            [(*r.centroid, _whole_grid_spin_phase(density, two_psi, report.labels, r))
+             for r in report.regions]
         )
         frames.append((i, density.sigma))
     counts = tuple(len(entries) for entries in per_sample)

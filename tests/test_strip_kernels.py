@@ -3,7 +3,9 @@
 The references are the whole-grid formulas the strip kernels replaced; the
 strip kernels must reproduce them bit for bit, on grids whose row count is
 below, not a multiple of, or above the strip height, for pure and mixed
-photons.
+photons.  The one-pass frame texture, ``unit_texture``, must reproduce the
+two-step ``normalize_stokes(stokes_of_photon_state(...))`` the same way,
+errors included.
 """
 
 import math
@@ -14,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qskyrm import (
+    EmptyFieldError,
     GridSpec,
     InsufficientCoverageError,
+    OamBasis,
     ProjectionAngles,
+    Space,
     State,
     UnitStokesField,
     balanced_switch_state,
@@ -25,6 +30,7 @@ from qskyrm import (
     normalize_stokes,
     skyrmion_density,
     stokes_of_photon_state,
+    unit_texture,
 )
 from qskyrm.modes import ROW_STRIP, row_strips
 
@@ -62,10 +68,15 @@ ROWS = st.sampled_from([4, 7, 31, 32, 33, 37, 64, 65, 70])
 COLS = st.sampled_from([4, 6, 24, 33, 48, 64])
 
 
+# no l = 0 charge: every ket vanishes on the beam axis, the centre cell of
+# an odd grid
+VORTEX_STATES = {**STATES, "vortex": balanced_switch_state((-1, -3, -5))}
+
+
 @st.composite
-def photons(draw):
+def photons(draw, states=STATES):
     """A heralded photon, pure or as a density matrix of rank 2..d."""
-    state = STATES[draw(st.sampled_from(sorted(STATES)))]
+    state = states[draw(st.sampled_from(sorted(states)))]
     angles = ProjectionAngles(
         draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi))
     )
@@ -105,6 +116,57 @@ def test_strip_density_matches_whole_grid_in_both_layouts(photon, ny, nx):
     assert unit.s.flags.c_contiguous
     sigma = skyrmion_density(unit).sigma
     assert np.array_equal(sigma, reference_sigma(unit.s, unit.grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons(VORTEX_STATES), ROWS, COLS, st.sampled_from([1e-6, 1e-2, 0.5, 1.0]))
+def test_unit_texture_is_the_normalized_stokes_maps(photon, ny, nx, floor):
+    grid = GridSpec(nx=nx, ny=ny)
+    got = unit_texture(photon, grid, floor)
+    want = normalize_stokes(stokes_of_photon_state(photon, grid), floor)
+    assert got.s.tobytes() == want.s.tobytes()
+    assert np.array_equal(got.mask, want.mask)
+
+
+def test_unit_texture_leaves_the_centre_of_an_odd_grid_undefined():
+    photon, _ = herald_polarization(VORTEX_STATES["vortex"], ProjectionAngles(1.0, 0.3))
+    for ny, nx in ((7, 33), (65, 33), (33, 64)):
+        grid = GridSpec(nx=nx, ny=ny)
+        unit = unit_texture(photon, grid)
+        undefined = np.argwhere(~np.isfinite(unit.s).all(axis=0)).tolist()
+        assert undefined == ([[ny // 2, nx // 2]] if ny % 2 and nx % 2 else [])
+        assert unit.s.tobytes() == normalize_stokes(stokes_of_photon_state(photon, grid)).s.tobytes()
+
+
+def single_photon(amplitudes_r, amplitudes_l, ells):
+    space = Space.photon(OamBasis(ells))
+    amplitudes = np.array([amplitudes_r, amplitudes_l], dtype=complex).reshape(-1)
+    return State.pure(space, amplitudes, normalize=True)
+
+
+@pytest.mark.parametrize(
+    "photon, grid, error, match",
+    [
+        # |l| = 256 at 45 waists from the axis: |E|^2 exceeds the float range
+        (single_photon([1.0, 0.0], [0.0, 1.0], (0, 256)), GridSpec(16, 40, half_extent=24.0),
+         InsufficientCoverageError, "overflows"),
+        # every cell centre 250 waists or more out: the physical S0 underflows
+        (single_photon([0.6, 0.0], [0.0, 0.8], (0, -4)), GridSpec(4, 4, half_extent=1e3),
+         EmptyFieldError, "no intensity"),
+    ],
+)
+def test_unit_texture_raises_what_normalize_stokes_raises(photon, grid, error, match):
+    with pytest.raises(error, match=match):
+        normalize_stokes(stokes_of_photon_state(photon, grid))
+    with pytest.raises(error, match=match):
+        unit_texture(photon, grid)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.5])
+def test_unit_texture_rejects_a_floor_outside_the_unit_interval(floor):
+    photon = single_photon([1.0], [0.0], (0,))
+    with pytest.raises(ValueError, match="intensity_floor"):
+        unit_texture(photon, GridSpec(8, 8), floor)
 
 
 def uniform_field(grid, value=1.0):

@@ -184,13 +184,13 @@ def test_sphere_sweep_matches_per_sample_frames(binary_state, which):
 
 def test_sphere_sweep_renders_each_distinct_photon_once(binary_state, monkeypatch):
     calls = []
-    synthesize = topology.stokes_of_photon_state
+    synthesize = topology.unit_texture
 
     def counting(photon, grid):
         calls.append(photon.data.tobytes())
         return synthesize(photon, grid)
 
-    monkeypatch.setattr(topology, "stokes_of_photon_state", counting)
+    monkeypatch.setattr(topology, "unit_texture", counting)
     smap = sphere_sweep(binary_state.to_density(), grid=GridSpec(nx=32, ny=32))
     assert smap.valid.all()
     # every azimuth at theta = 0 heralds the same photon: 72 - 7 frames
@@ -199,10 +199,10 @@ def test_sphere_sweep_renders_each_distinct_photon_once(binary_state, monkeypatc
 
 
 def test_sphere_sweep_flags_empty_fields_invalid(binary_state, monkeypatch):
-    def empty(field):
+    def empty(photon, grid):
         raise EmptyFieldError("field carries no intensity")
 
-    monkeypatch.setattr(topology, "normalize_stokes", empty)
+    monkeypatch.setattr(topology, "unit_texture", empty)
     smap = sphere_sweep(
         binary_state.to_density(),
         theta_samples=(0.0, 1.0),
