@@ -34,7 +34,10 @@ the sphere negatively; Houghton, Manton & Sutcliffe, Nucl. Phys. B 510, 507
 (1998)).  :func:`exact_skyrmion_number` computes it for the ideal,
 unapertured texture, and reports how far out the cores sit and how small the
 smallest one is, so a reader can tell what a finite window or grid resolves.
-:func:`sphere_sweep` uses it for every pure heralded photon it covers.
+:func:`sphere_sweep` solves every distinct pure photon of a sweep at once,
+one stack per charge pattern (the charges each component keeps; a recipe has
+three: the two poles and the bulk).  The ternary's 30 x 30 Sylvester pencils,
+one generalized eigenvalue solve per photon, are the cost that remains.
 
 Quasiparticle decomposition works on preimages of the polar cap rather than
 on lumps of |sigma|: each core pins the unit vector to the north pole
@@ -78,7 +81,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import eigvals
@@ -218,7 +221,8 @@ class QuasiparticleReport:
     carrying at least half a unit of charge) and ``count`` their number.
     ``central_charge = total - sum(region charges)``, so additivity holds by
     construction.  ``labels`` is the per-cell core-region map (0 between
-    regions).
+    regions).  ``crop`` is the block of the grid the segmentation ran on
+    (None when no cell reaches the cap): every labelled cell lies inside it.
     """
 
     count: int
@@ -226,6 +230,7 @@ class QuasiparticleReport:
     central_charge: float
     total: float
     labels: np.ndarray
+    crop: tuple[slice, slice] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.labels, dtype=int)
@@ -396,10 +401,11 @@ def _warm_frame_caches(state: State, grid: GridSpec) -> None:
 
 
 class _Component(NamedTuple):
-    """One circular component of a pure photon over the common Gaussian:
-    ``sum_l coeffs[l] * tau^|l|`` with tau = t for l >= 0 and conj(t) for
-    l < 0, t = sqrt(2) z / w.  ``ells`` holds the charges whose amplitude
-    clears the noise floor, ``coeffs`` their amplitudes times N_l."""
+    """One circular component of a stack of pure photons with one charge
+    pattern, over the common Gaussian: member i is sum_l coeffs[i, l] tau^|l|
+    (tau = t for l >= 0, conj(t) for l < 0, t = sqrt(2) z / w) over the
+    charges ``ells`` that clear the noise floor, each coefficient an amplitude
+    times N_l.  Evaluations take ``t`` shaped (members, points)."""
 
     ells: np.ndarray
     coeffs: np.ndarray
@@ -418,15 +424,15 @@ class _Component(NamedTuple):
         return np.where(self.ells >= 0, t, np.conj(t)) ** np.maximum(np.abs(self.ells) - drop, 0)
 
     def at(self, t) -> np.ndarray:
-        return self._powers(t) @ self.coeffs
+        return (self._powers(t) @ self.coeffs[..., None])[..., 0]
 
     def magnitude(self, t) -> np.ndarray:
         """Sum of the terms' magnitudes at t: the scale of cancellation tests."""
-        return np.abs(self._powers(t)) @ np.abs(self.coeffs)
+        return (np.abs(self._powers(t)) @ np.abs(self.coeffs)[..., None])[..., 0]
 
     def derivatives(self, t) -> tuple[np.ndarray, np.ndarray]:
         """d/dt and d/dconj(t) at t."""
-        terms = self._powers(t, drop=1) * (np.abs(self.ells) * self.coeffs)
+        terms = self._powers(t, drop=1) * (np.abs(self.ells) * self.coeffs)[..., None, :]
         return terms @ (self.ells > 0), terms @ (self.ells < 0)
 
     def slope(self, t) -> np.ndarray:
@@ -435,78 +441,159 @@ class _Component(NamedTuple):
         return np.abs(dt) + np.abs(dc)
 
 
-def _mode_polynomials(photon: State) -> tuple[_Component, _Component]:
-    """The u (R, polarization index 0) and v (L) components of a pure
-    single-photon state (module docstring).  Amplitudes below ``_COEFF_FLOOR``
-    of the largest are noise (the theta = pi herald leaves ~1e-17) and are
-    dropped."""
-    if not photon.is_pure:
-        raise UnsupportedStateError("mode polynomials need a pure photon state")
-    ip, io = _photon_axes(photon)
-    ket = photon.tensor() if ip == 0 else photon.tensor().T
-    ells = np.array(photon.space.axes[io].basis.ells)
+def _mode_polynomials(photons: Sequence[State]) -> Iterator[tuple[np.ndarray, _Component, _Component]]:
+    """The u (R, polarization index 0) and v (L) components of pure photons
+    over one space (module docstring), one ``(members, u, v)`` stack per
+    charge pattern: the charges each component keeps once amplitudes below
+    ``_COEFF_FLOOR`` of the photon's largest (the theta = pi herald leaves
+    ~1e-17) are dropped as noise."""
+    ip, io = _photon_axes(photons[0])
+    kets = np.array([ph.tensor() if ip == 0 else ph.tensor().T for ph in photons])
+    ells = np.array(photons[0].space.axes[io].basis.ells)
     norms = np.exp([_log_norm(abs(int(l))) for l in ells])
-    keep = np.abs(ket) > _COEFF_FLOOR * np.abs(ket).max()
-    u, v = (_Component(ells[k], row[k] * norms[k]) for row, k in zip(ket, keep))
-    return u, v
+    keep = np.abs(kets) > _COEFF_FLOOR * np.abs(kets).max(axis=(1, 2), keepdims=True)
+    patterns, which = np.unique(keep, axis=0, return_inverse=True)
+    for k, pattern in enumerate(patterns):
+        members = np.flatnonzero(which == k)
+        u, v = (_Component(ells[kept], kets[members, row][:, kept] * norms[kept])
+                for row, kept in enumerate(pattern))
+        yield members, u, v
 
 
 def _nonzero_roots(c: _Component) -> np.ndarray:
-    """Nonzero zeros (in t) of a single-signed component, with multiplicity."""
+    """Nonzero zeros (in t) of each member of a single-signed component,
+    with multiplicity, shaped (members, degree span): the companion matrices
+    ``np.roots`` builds, solved in one stacked ``eigvals``."""
     powers = np.abs(c.ells)
-    top = int(powers.max())
-    desc = np.zeros(top - int(powers.min()) + 1, dtype=complex)
-    desc[top - powers] = c.coeffs
-    tau = np.roots(desc)
+    top, span = int(powers.max()), int(powers.max() - powers.min())
+    desc = np.zeros((len(c.coeffs), span + 1), dtype=complex)
+    desc[:, top - powers] = c.coeffs
+    companion = np.repeat(np.eye(span, k=-1, dtype=complex)[None], len(desc), axis=0)
+    companion[:, :1] = (-desc[:, 1:] / desc[:, :1])[:, None]
+    tau = np.linalg.eigvals(companion)
     return np.conj(tau) if c.sign == -1 else tau
 
 
 def _harmonic_zeros(c: _Component) -> np.ndarray:
-    """Nonzero zeros of a mixed-sign component P(t) + Q(conj t).
+    """Nonzero zeros of each member of a mixed-sign component P(t) + Q(conj t),
+    shaped (members, candidates), NaN for a candidate that is none.
 
     With s standing for conj(t), a zero is a common root in s of
     F = Q(s) + P(t) and of its conjugate G = P*(s) + Q*(t) (coefficients
     conjugated).  Their Sylvester matrix in s is a matrix polynomial in t
     whose determinant vanishes at every zero; its eigenvalues (companion
-    linearization) are polished by Newton steps on the component itself, and
-    candidates that are not zeros of it (their common s is not conj(t)) are
-    dropped.
+    linearization, one stacked generalized ``eigvals``) are polished by
+    Newton steps on the component itself.  Candidates that are no zero of it
+    (their common s is not conj(t)), on the axis or repeated are dropped.
     """
-    pos = c.ells >= 0
-    p = np.zeros(int(c.ells.max()) + 1, dtype=complex)
-    p[c.ells[pos]] = c.coeffs[pos]
-    q = np.zeros(int(-c.ells.min()) + 1, dtype=complex)
-    q[-c.ells[~pos]] = c.coeffs[~pos]
-    n, m = len(p) - 1, len(q) - 1
+    count, pos = len(c.coeffs), c.ells >= 0
+    p, q = (np.zeros((count, int(abs(top)) + 1), dtype=complex) for top in (c.ells.max(), c.ells.min()))
+    p[:, c.ells[pos]], q[:, -c.ells[~pos]] = c.coeffs[:, pos], c.coeffs[:, ~pos]
+    n, m = p.shape[1] - 1, q.shape[1] - 1
     size, deg = n + m, max(n, m)
-    # sylvester[k] multiplies t^k: n rows of F (degree m in s), m rows of G
-    sylvester = np.zeros((deg + 1, size, size), dtype=complex)
+    # sylvester[:, k] multiplies t^k: n rows of F (degree m in s), m rows of G
+    sylvester = np.zeros((count, deg + 1, size, size), dtype=complex)
     for r in range(n):
-        sylvester[0, r, r : r + m] = q[:0:-1]
-        sylvester[: n + 1, r, r + m] = p
+        sylvester[:, 0, r, r : r + m] = q[:, :0:-1]
+        sylvester[:, : n + 1, r, r + m] = p
     for r in range(m):
-        sylvester[0, n + r, r : r + n + 1] = np.conj(p[::-1])
-        sylvester[1 : m + 1, n + r, r + n] = np.conj(q[1:])
-    a = np.eye(deg * size, k=size, dtype=complex)
-    a[-size:] = -np.concatenate(sylvester[:deg], axis=1)
-    b = np.eye(deg * size, dtype=complex)
-    b[-size:, -size:] = sylvester[deg]
+        sylvester[:, 0, n + r, r : r + n + 1] = np.conj(p[:, ::-1])
+        sylvester[:, 1 : m + 1, n + r, r + n] = np.conj(q[:, 1:])
+    a, b = (np.repeat(np.eye(deg * size, k=k, dtype=complex)[None], count, axis=0) for k in (size, 0))
+    # the last block row of a holds the blocks of t^0 .. t^(deg - 1)
+    a[:, -size:] = -sylvester[:, :deg].transpose(0, 2, 1, 3).reshape(count, size, deg * size)
+    b[:, -size:, -size:] = sylvester[:, deg]
     # a singular b gives infinite eigenvalues, and a stray candidate can
     # overflow in the Newton steps; the zero test below drops both
     with np.errstate(all="ignore"):
-        t = eigvals(a, b)
-        t = t[np.isfinite(t)]
+        t = eigvals(a, b, check_finite=False)
+        t[~np.isfinite(t)] = np.nan
         for _ in range(4):
             f = c.at(t)
             dt, dc = c.derivatives(t)
-            # dt * step + dc * conj(step) = -f
-            t = t + (dc * np.conj(f) - np.conj(dt) * f) / (np.abs(dt) ** 2 - np.abs(dc) ** 2)
-        good = np.isfinite(t) & (np.abs(c.at(t)) <= _ROOT_TOL * c.magnitude(t))
-    zeros: list[complex] = []
-    for z in t[good]:
-        if abs(z) > _ROOT_TOL and all(abs(z - y) > 1e-6 * abs(z) for y in zeros):
-            zeros.append(complex(z))
-    return np.array(zeros, dtype=complex)
+            # dt * step + dc * conj(step) = -f.  Not `dc * np.conj(f)`: over
+            # 256 KiB numpy reuses the temporary conj(f) and swaps the factors,
+            # and its fused complex product is not symmetric in the last bit
+            t = t + (np.multiply(dc, np.conj(f)) - np.conj(dt) * f) / (np.abs(dt) ** 2 - np.abs(dc) ** 2)
+        kept = np.isfinite(t) & (np.abs(c.at(t)) <= _ROOT_TOL * c.magnitude(t)) & (np.abs(t) > _ROOT_TOL)
+        for j in range(1, t.shape[1]):
+            near = np.abs(t[:, :j] - t[:, j, None]) <= 1e-6 * np.abs(t[:, j, None])
+            kept[:, j] &= ~(near & kept[:, :j]).any(axis=1)
+    return np.where(kept, t, np.nan)
+
+
+def _exact_numbers(photons: Sequence[State]) -> list:
+    """What :func:`exact_skyrmion_number` returns, or the error it raises, for
+    each of ``photons`` (all over one space), solved as one stack per charge
+    pattern (:func:`_mode_polynomials`, :func:`_pattern_numbers`)."""
+    results: list = [UnsupportedStateError("mode polynomials need a pure photon state")] * len(photons)
+    pure = [i for i, ph in enumerate(photons) if ph.is_pure]
+    for members, u, v in _mode_polynomials([photons[i] for i in pure]) if pure else ():
+        try:
+            numbers = _pattern_numbers(u, v)
+        except UnsupportedStateError as exc:
+            numbers = [exc] * len(members)
+        for i, number in zip(members, numbers):
+            results[pure[i]] = number
+    return results
+
+
+def _pattern_numbers(u: _Component, v: _Component) -> list:
+    """Exact numbers of a stack of photons that share a charge pattern: the
+    domain checks and n once, for the pattern (:class:`UnsupportedStateError`
+    when it fails), and every root solve and diagnostic as one stacked call.
+    A photon with a shared zero gets the error in place of its numbers."""
+    top_u, top_v = (int(np.abs(c.ells).max(initial=-1)) for c in (u, v))
+    if top_u == top_v:
+        raise UnsupportedStateError(
+            f"both components reach |l| = {top_u}, so neither dominates at large r"
+        )
+    dom, other = (u, v) if top_u > top_v else (v, u)
+    if dom.sign is None:
+        raise UnsupportedStateError(
+            f"the dominant component mixes charge signs {dom.ells.tolist()}"
+        )
+    if other.ells.size == 0:
+        return [(0, 0.0, math.inf)] * len(u.coeffs)
+    low_d, low_o = (int(np.abs(c.ells).min()) for c in (dom, other))
+    at_low_d, at_low_o = np.abs(dom.ells) == low_d, np.abs(other.ells) == low_o
+    if 0 < low_o <= low_d and (np.sign(other.ells[at_low_o]) != dom.sign).any():
+        raise UnsupportedStateError(
+            f"charges {other.ells[at_low_o].tolist()} wind against the dominant "
+            f"component on the axis"
+        )
+    n = int(dom.sign * (max(top_u, top_v) - min(low_d, low_o)))
+
+    t_dom = _nonzero_roots(dom)
+    o_at = other.at(t_dom)
+    shared = np.abs(o_at) <= _ROOT_TOL * other.magnitude(t_dom)
+    results: list = [None] * len(t_dom)
+    for i in np.flatnonzero(shared.any(axis=1)):
+        r = float(np.abs(t_dom[i, shared[i]]).min()) / math.sqrt(2.0)
+        reason = f"both components vanish at r = {r:.6g} waists: a singular point of the texture"
+        results[i] = UnsupportedStateError(reason)
+    ok = np.flatnonzero(~shared.any(axis=1))
+    if not ok.size:
+        return results
+    dom, other = (_Component(c.ells, c.coeffs[ok]) for c in (dom, other))
+    t_dom, o_at = t_dom[ok], o_at[ok]
+    t_oth = _harmonic_zeros(other) if other.sign is None else _nonzero_roots(other)
+    radii = [np.abs(t_dom), np.abs(t_oth)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scales = [np.abs(o_at) / dom.slope(t_dom), np.abs(dom.at(t_oth)) / other.slope(t_oth)]
+    if low_d != low_o:
+        # the component that vanishes faster on the axis has a k-fold zero
+        # there: W or 1/W ~ t^k times the ratio of the lowest coefficients
+        lead_d, lead_o = (np.abs(c.coeffs[:, at]).sum(axis=1) for c, at in ((dom, at_low_d), (other, at_low_o)))
+        ratio = lead_o / lead_d if low_d > low_o else lead_d / lead_o
+        # the C library's pow per photon: numpy's array power differs in the last bit
+        scales.append(np.array([r ** (1.0 / abs(low_d - low_o)) for r in ratio]).reshape(-1, 1))
+    # fmax and fmin skip the NaN of harmonic candidates that are no zero
+    outer = np.fmax.reduce(np.concatenate(radii, axis=1), axis=1, initial=0.0) / math.sqrt(2.0)
+    scale = np.fmin.reduce(np.concatenate(scales, axis=1), axis=1, initial=math.inf) / math.sqrt(2.0)
+    for i, o, s in zip(ok, outer.tolist(), scale.tolist()):
+        results[i] = (n, o, s)
+    return results
 
 
 def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
@@ -520,7 +607,9 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     (|other component| / fastest rate of change of the vanishing one; at a
     k-fold zero on the axis, the k-th root of the ratio of the lowest-order
     coefficients), both in waists.  A photon in one circular polarization has
-    a uniform texture: n = 0, outer radius 0, core scale inf.
+    a uniform texture: n = 0, outer radius 0, core scale inf.  This is the
+    one-photon case of the stacked solve :func:`sphere_sweep` runs, and gives
+    the photon the same bits as that stack does.
 
     Raises :class:`UnsupportedStateError` for a density matrix, when neither
     component reaches a strictly larger max |l|, when the dominant component
@@ -528,70 +617,10 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     against it on the axis, and when both components vanish at one point off
     the axis (a singular point of the texture, where n changes).
     """
-    u, v = _mode_polynomials(photon)
-    top_u, top_v = (int(np.abs(c.ells).max(initial=-1)) for c in (u, v))
-    if top_u == top_v:
-        raise UnsupportedStateError(
-            f"both components reach |l| = {top_u}, so neither dominates at large r"
-        )
-    dom, other = (u, v) if top_u > top_v else (v, u)
-    if dom.sign is None:
-        raise UnsupportedStateError(
-            f"the dominant component mixes charge signs {dom.ells.tolist()}"
-        )
-    if other.ells.size == 0:
-        return 0, 0.0, math.inf
-    low_d, low_o = (int(np.abs(c.ells).min()) for c in (dom, other))
-    at_low_d, at_low_o = np.abs(dom.ells) == low_d, np.abs(other.ells) == low_o
-    if 0 < low_o <= low_d and (np.sign(other.ells[at_low_o]) != dom.sign).any():
-        raise UnsupportedStateError(
-            f"charges {other.ells[at_low_o].tolist()} wind against the dominant "
-            f"component on the axis"
-        )
-    n = dom.sign * (max(top_u, top_v) - min(low_d, low_o))
-
-    t_dom = _nonzero_roots(dom)
-    o_at = other.at(t_dom)
-    shared = np.abs(o_at) <= _ROOT_TOL * other.magnitude(t_dom)
-    if shared.any():
-        r = float(np.abs(t_dom[shared]).min()) / math.sqrt(2.0)
-        raise UnsupportedStateError(
-            f"both components vanish at r = {r:.6g} waists: a singular point of the texture"
-        )
-    t_oth = _harmonic_zeros(other) if other.sign is None else _nonzero_roots(other)
-    radii = [np.abs(t_dom), np.abs(t_oth)]
-    with np.errstate(divide="ignore"):
-        scales = [np.abs(o_at) / dom.slope(t_dom), np.abs(dom.at(t_oth)) / other.slope(t_oth)]
-    if low_d != low_o:
-        # the component that vanishes faster on the axis has a k-fold zero
-        # there: W or 1/W ~ t^k times the ratio of the lowest coefficients
-        lead_d, lead_o = np.abs(dom.coeffs[at_low_d]).sum(), np.abs(other.coeffs[at_low_o]).sum()
-        ratio = lead_o / lead_d if low_d > low_o else lead_d / lead_o
-        radii.append(np.zeros(1))
-        scales.append(np.array([ratio ** (1.0 / abs(low_d - low_o))]))
-    radii, scales = np.concatenate(radii), np.concatenate(scales)
-    return (
-        int(n),
-        float(radii.max(initial=0.0)) / math.sqrt(2.0),
-        float(scales.min(initial=math.inf)) / math.sqrt(2.0),
-    )
-
-
-def _sample_number(photon: State, grid: GridSpec) -> tuple[float, str, float, float]:
-    """``(n, method, outer_radius, core_scale)`` of one heralded photon: the
-    exact number where :func:`exact_skyrmion_number` applies, else the
-    grid's (NaN for an empty field) with NaN diagnostics."""
-    try:
-        n, outer, scale = exact_skyrmion_number(photon)
-    except UnsupportedStateError:
-        pass
-    else:
-        return float(n), "exact", outer, scale
-    try:
-        _, density = photon_frame(photon, grid)
-    except EmptyFieldError:
-        return math.nan, "grid", math.nan, math.nan
-    return skyrmion_number(density), "grid", math.nan, math.nan
+    (result,) = _exact_numbers([photon])
+    if isinstance(result, UnsupportedStateError):
+        raise result
+    return result
 
 
 def sphere_sweep(
@@ -603,15 +632,15 @@ def sphere_sweep(
     """Skyrmion number of photon B over a grid of heralding angles.
 
     Defaults: 9 polar angles spanning [0, pi], 8 equally spaced azimuths.
-    A pure heralded photon gets the exact number of its ideal texture
-    (:func:`exact_skyrmion_number`); a density matrix, or a pure photon
-    outside that function's domain, gets the Riemann sum over a frame on
-    ``grid``.  Samples whose heralding probability vanishes (or whose
-    texture carries no intensity) are flagged invalid rather than raising.
-    Each distinct heralded photon is counted once: samples whose conditional
-    state has the same bytes (every azimuth at theta = 0, say) share its
-    number.  Unlike a dynamics sweep, the frames render one after another
-    on the calling thread.
+    Pure heralded photons get the exact numbers of their ideal textures
+    (:func:`exact_skyrmion_number`), solved as one stack per charge pattern;
+    a density matrix, or a pure photon outside that function's domain, gets
+    the Riemann sum over a frame on ``grid``.  Samples whose heralding
+    probability vanishes (or whose texture carries no intensity) are flagged
+    invalid rather than raising.  Each distinct heralded photon is counted
+    once: samples whose conditional state has the same bytes (every azimuth
+    at theta = 0, say) share its number.  Unlike a dynamics sweep, the
+    frames render one after another on the calling thread.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
@@ -624,19 +653,31 @@ def sphere_sweep(
     method = np.full(shape, None, dtype=object)
     outer_radius = np.full(shape, np.nan)
     core_scale = np.full(shape, np.nan)
-    # photon bytes -> its sample; exact bytes only: nearly equal photons (the
-    # theta = pi kets differ by ~1e-17) can give grid numbers that differ in
-    # print
-    samples: dict[bytes, tuple[float, str, float, float]] = {}
+    # each sample's photon bytes, and the distinct photons by them; exact
+    # bytes only: nearly equal photons (the theta = pi kets differ by ~1e-17)
+    # can give grid numbers that differ in print
+    keys = np.full(shape, None, dtype=object)
+    photons: dict[bytes, State] = {}
     for i, theta in enumerate(thetas):
         for j, alpha in enumerate(alphas):
             try:
                 photon, _ = herald_polarization(state, ProjectionAngles(theta, alpha))
             except ZeroProbabilityError:
                 continue
-            key = photon.data.tobytes()
-            if key not in samples:
-                samples[key] = _sample_number(photon, grid)
+            keys[i, j] = photon.data.tobytes()
+            photons.setdefault(keys[i, j], photon)
+    samples = {}
+    for (key, photon), result in zip(photons.items(), _exact_numbers(list(photons.values()))):
+        if not isinstance(result, UnsupportedStateError):
+            samples[key] = (float(result[0]), "exact", *result[1:])
+            continue
+        try:
+            n = skyrmion_number(photon_frame(photon, grid)[1])
+        except EmptyFieldError:
+            n = math.nan
+        samples[key] = (n, "grid", math.nan, math.nan)
+    for (i, j), key in np.ndenumerate(keys):
+        if key is not None:
             n_values[i, j], method[i, j], outer_radius[i, j], core_scale[i, j] = samples[key]
     valid = ~np.isnan(n_values)
     return SphereMap(thetas, alphas, n_values, valid, method, outer_radius, core_scale)
@@ -647,7 +688,7 @@ def sphere_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _bounding_box(cells: np.ndarray, pad: tuple[int, int] = (0, 0)) -> tuple[slice, slice] | None:
+def _bounding_box(cells: np.ndarray, pad: tuple[int, int]) -> tuple[slice, slice] | None:
     """Bounding box of the nonzero entries of the 2-D ``cells``, widened by
     ``pad`` cells per axis and clipped to the grid; None when every entry is
     zero."""
@@ -709,7 +750,7 @@ def locate_quasiparticles(
     smoothed = gaussian_filter(s3c, sigma=kernel) > _CAP_LEVEL
     seeds, n_islands = _connected_label(smoothed, structure=np.ones((3, 3), dtype=bool))
     if n_islands == 0:
-        return QuasiparticleReport(0, (), total, total, labels)
+        return QuasiparticleReport(0, (), total, total, labels, crop)
     # identity from the smoothed components, extent from the raw preimage:
     # every raw cap cell joins its nearest component so the charge integral
     # sees the full cap coverage regardless of resolution
@@ -746,7 +787,7 @@ def locate_quasiparticles(
                 QuasiparticleRegion(lab, (cx, cy), charge, float(cells.sum() * area))
             )
     central_charge = total - sum(r.charge for r in regions)
-    return QuasiparticleReport(len(regions), tuple(regions), central_charge, total, labels)
+    return QuasiparticleReport(len(regions), tuple(regions), central_charge, total, labels, crop)
 
 
 # ---------------------------------------------------------------------------
@@ -761,19 +802,19 @@ def _wrap_delta(delta: float) -> float:
 def _spin_phase(
     density: SkyrmionDensityField,
     psi: np.ndarray,
-    labels: np.ndarray,
+    report: QuasiparticleReport,
     region: QuasiparticleRegion,
-    box: tuple[slice, slice],
 ) -> float:
-    """Winding-compensated texture phase of one region (see module docstring),
-    from the frame's orientation map ``psi``.
+    """Winding-compensated texture phase of one of the report's regions (see
+    module docstring), from the frame's orientation map ``psi``.
 
-    Only ``box``, a block of the grid holding every cell of the region, is
-    read.  Raster order within it is the grid's, so the region's cells come
-    in the grid's order and the sum is the whole grid's.
+    Only the report's crop, which holds every labelled cell, is read.  Raster
+    order within it is the grid's, so the region's cells come in the grid's
+    order and the sum is the whole grid's.
     """
+    box = report.crop
     xx, yy = (m[box] for m in _meshgrid(density.grid))
-    cells = labels[box] == region.label
+    cells = report.labels[box] == region.label
     cx, cy = region.centroid
     beta = np.arctan2(yy[cells] - cy, xx[cells] - cx)
     # core winding matches the sign of the charge it carries
@@ -913,8 +954,7 @@ def track_dynamics(
             return [], None
         report = locate_quasiparticles(density, central_radius)
         psi = orientation_psi(unit)
-        box = _bounding_box(report.labels)
-        entries = [(*r.centroid, _spin_phase(density, psi, report.labels, r, box)) for r in report.regions]
+        entries = [(*r.centroid, _spin_phase(density, psi, report, r)) for r in report.regions]
         return entries, (unit, density, psi)
 
     def sample(i: int) -> list[tuple[float, float, float]]:

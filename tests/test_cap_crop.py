@@ -88,6 +88,12 @@ def assert_same_report(got, want):
     assert got.central_charge == want.central_charge
     assert got.total == want.total
     assert np.array_equal(got.labels, want.labels)
+    # the crop the report carries, which the spin phases read, holds every
+    # labelled cell
+    inside = np.zeros(got.labels.shape, dtype=bool)
+    if got.crop is not None:
+        inside[got.crop] = True
+    assert not got.labels[~inside].any()
 
 
 # bump centres on the grid, on its edges and corners, and just outside it

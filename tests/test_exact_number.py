@@ -24,8 +24,9 @@ from qskyrm import (
     herald_polarization,
     mode_stack,
     skyrmion_number,
+    sphere_sweep,
 )
-from qskyrm.topology import _mode_polynomials, photon_frame
+from qskyrm.topology import _exact_numbers, _mode_polynomials, photon_frame
 
 # the states of the four sphere recipes
 RECIPE_STATES = {
@@ -45,6 +46,27 @@ def photon_state(ells, u, v):
     return State.pure(Space.photon(OamBasis(ells)), np.array([u, v]), normalize=True)
 
 
+N0, N1, N2 = (math.sqrt(2.0 / (math.pi * math.factorial(k))) for k in range(3))
+# (charges, u, v) of pure photons outside the exact domain, and for each the
+# (u, v) of a photon in the domain with the same charge pattern, where there
+# is one
+UNSUPPORTED = {
+    # u = t^3 + conj(t)^3 dominates v = 1
+    "mixed dominant": ((3, 0, -3), [1, 0, 1], [0, 1, 0]),
+    "tie": ((0, -2), [1, 1], [0, 1]),
+    # u = t against v = conj(t)^3, both vanishing on the axis
+    "against on the axis": ((1, -3), [1, 0], [0, 1]),
+    # u = 1 - conj(t) and v = 1 - conj(t)^2 share the zero t = 1
+    "shared zero": ((0, -1, -2), [1 / N0, -1 / N1, 0], [1 / N0, 0, -1 / N2]),
+}
+SAME_PATTERN = {
+    "mixed dominant": ([1, 0, 2], [0, 1, 0]),
+    "tie": ([1, 2], [0, 1]),
+    # u = 1 - 2 conj(t) and v = 1 - conj(t)^2: no zero in common
+    "shared zero": ([1 / N0, -2 / N1, 0], [1 / N0, 0, -1 / N2]),
+}
+
+
 @pytest.mark.parametrize("name", RECIPE_STATES)
 @pytest.mark.parametrize("angles", [(0.0, 0.0), (1.1, 2.3), (math.pi, 5.0)])
 def test_mode_polynomials_reproduce_mode_stack(name, angles):
@@ -61,8 +83,9 @@ def test_mode_polynomials_reproduce_mode_stack(name, angles):
     # the profiles grow toward the window's edge: compare each cell to 1e-12
     # of the largest amplitude times its profiles' magnitudes
     scale = 1e-12 * np.abs(ph.tensor()).max() * np.abs(stack[:, iy, ix]).sum(axis=0)
-    for component, field in zip(_mode_polynomials(ph), fields):
-        assert (np.abs(component.at(t) / grid.waist - field[iy, ix]) <= scale).all()
+    ((_, u, v),) = _mode_polynomials([ph])
+    for component, field in zip((u, v), fields):
+        assert (np.abs(component.at(t[None])[0] / grid.waist - field[iy, ix]) <= scale).all()
 
 
 @pytest.mark.parametrize(
@@ -113,19 +136,90 @@ def test_positive_charges_wrap_positively():
     ],
 )
 def test_unsupported_states(case, match):
-    n0, n1, n2 = (math.sqrt(2.0 / (math.pi * math.factorial(k))) for k in range(3))
-    states = {
-        "density": photon("binary", 1.0).to_density(),
-        # u = t^3 + conj(t)^3 dominates v = 1
-        "mixed dominant": photon_state((3, 0, -3), [1, 0, 1], [0, 1, 0]),
-        "tie": photon_state((0, -2), [1, 1], [0, 1]),
-        # u = t against v = conj(t)^3, both vanishing on the axis
-        "against on the axis": photon_state((1, -3), [1, 0], [0, 1]),
-        # u = 1 - conj(t) and v = 1 - conj(t)^2 share the zero t = 1
-        "shared zero": photon_state((0, -1, -2), [1 / n0, -1 / n1, 0], [1 / n0, 0, -1 / n2]),
-    }
+    if case == "density":
+        state = photon("binary", 1.0).to_density()
+    else:
+        state = photon_state(*UNSUPPORTED[case])
     with pytest.raises(UnsupportedStateError, match=match):
-        exact_skyrmion_number(states[case])
+        exact_skyrmion_number(state)
+
+
+def bits(result):
+    """An exact result to the last bit, or the message of its error."""
+    if isinstance(result, UnsupportedStateError):
+        return str(result)
+    n, outer, scale = result
+    return n, outer.hex(), scale.hex()
+
+
+def alone(ph):
+    try:
+        return bits(exact_skyrmion_number(ph))
+    except UnsupportedStateError as exc:
+        return bits(exc)
+
+
+@pytest.mark.parametrize("name", RECIPE_STATES)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    heralds=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+            st.floats(0.0, 2.0 * math.pi),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_stacking_changes_no_result(name, heralds, order):
+    # heralds at the poles and in the bulk of one recipe: every charge
+    # pattern it has, in one stacked solve, in shuffled order
+    photons = [photon(name, theta, alpha) for theta, alpha in heralds]
+    order.shuffle(photons)
+    assert [bits(r) for r in _exact_numbers(photons)] == [alone(ph) for ph in photons]
+
+
+def herald_source(ells, first, second):
+    """Two-photon state whose photon B heralds as the photon with amplitudes
+    ``first`` (u, v) at theta = 0, as ``second`` at theta = pi, and as a
+    superposition of the two between."""
+    amplitudes = np.array([first, second], dtype=complex)
+    return State.pure(Space.tripartite(OamBasis(ells)), amplitudes, normalize=True)
+
+
+SMALL_GRID = GridSpec(64, 64, 4.0)
+THETAS, ALPHAS = (0.0, 0.5 * math.pi, math.pi), (0.0, 1.0)
+
+
+def test_a_singular_photon_leaves_the_stack_alone():
+    ells, *uv = UNSUPPORTED["shared zero"]
+    bad, good = photon_state(ells, *uv), photon_state(ells, *SAME_PATTERN["shared zero"])
+    assert len(list(_mode_polynomials([bad, good]))) == 1
+    results = _exact_numbers([good, bad, good])
+    assert bits(results[0]) == bits(results[2]) == alone(good)
+    assert isinstance(results[1], UnsupportedStateError)
+    with pytest.raises(UnsupportedStateError, match="singular point"):
+        exact_skyrmion_number(bad)
+    # theta = 0 heralds the singular photon; the other samples share its
+    # charge pattern but no zero, and stay exact
+    smap = sphere_sweep(herald_source(ells, uv, SAME_PATTERN["shared zero"]), THETAS, ALPHAS, SMALL_GRID)
+    assert smap.method.tolist() == [["grid", "grid"], ["exact", "exact"], ["exact", "exact"]]
+    assert smap.valid.all()
+    assert (smap.n_values[1:] == -2).all()
+
+
+@pytest.mark.parametrize("case", ["tie", "mixed dominant"])
+def test_a_failed_pattern_check_fails_every_member(case):
+    ells, *uv = UNSUPPORTED[case]
+    photons = [photon_state(ells, *uv), photon_state(ells, *SAME_PATTERN[case])]
+    assert len(list(_mode_polynomials(photons))) == 1
+    results = _exact_numbers(photons)
+    assert all(isinstance(r, UnsupportedStateError) for r in results)
+    assert [bits(r) for r in results] == [alone(ph) for ph in photons]
+    smap = sphere_sweep(herald_source(ells, uv, SAME_PATTERN[case]), THETAS, ALPHAS, SMALL_GRID)
+    assert (smap.method == "grid").all()
+    assert smap.valid.all()
 
 
 # binary, deep ladder and GHZ at 256^2 over +-4 waists; the ternary's cores
