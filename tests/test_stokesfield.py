@@ -153,14 +153,23 @@ def photons(draw):
 
 
 def physical_stokes(state, grid):
-    """S0..S3 of the unit-power modes, summed over the density matrix."""
+    """S0..S3 of the unit-power modes, summed over the density matrix.
+
+    The double sum over rho's entries cancels down to |field|^2 on a dark
+    cell, so in double precision its rounding (and that of a pure state's
+    outer product) scales with the square of that cancellation and can exceed
+    the texture's own: rho is formed and summed in extended precision and the
+    maps rounded once."""
     ells = state.space.oam_basis("B").ells
-    modes = np.stack([lg_mode(l, grid) for l in ells])
-    rho = state.to_density().tensor()
+    modes = np.stack([lg_mode(l, grid) for l in ells]).astype(np.clongdouble)
+    data = state.data.astype(np.clongdouble)
+    if state.is_pure:
+        data = np.outer(data, data.conj())
+    rho = data.reshape(state.space.dims * 2)
     p = np.einsum("jkmn,kyx,nyx->jmyx", rho, modes, np.conj(modes))
     return np.stack(
         [(p[0, 0] + p[1, 1]).real, 2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]
-    )
+    ).astype(float)
 
 
 @settings(max_examples=60, deadline=None)
