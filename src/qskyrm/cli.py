@@ -4,18 +4,23 @@ Subcommands: build-state, sphere, stokes-field, skyrmion-number,
 quasiparticles, dynamics, tomography, bell.
 
 Configuration lives in an optional JSON file (--config) that flags override;
-flags win.  ``_OPTIONS`` is the single list of settings: each row declares one
+flags win.  ``_OPTIONS`` is the only list of settings: each row declares one
 config key with its default, flag, help text and one ``kind`` (its type), plus
 a rule where the setting has a range or maps its value.  The defaults, the
-flags and the type check of each merged value all derive from it: a file value
-must have its flag's type (an integral float counts as an integer; nothing else
-is coerced), and null is accepted exactly where the default is null.  Unknown
-config keys are rejected and the full configuration is validated before
-anything is computed or written.  Output directories come from --out, the
-config, or the QSKYRM_OUTPUT_DIR environment variable, in that order.  Every
-command is deterministic for a given (config, seed): no timestamps are written
-anywhere, so reruns are byte-identical, and each product embeds the SHA-256 of
-its resolved configuration.
+flags, the type check of each merged value and the attributes of
+:class:`RunConfig` all derive from it: a file value must have its flag's type
+(an integral float counts as an integer; nothing else is coerced), and null is
+accepted exactly where the default is null.  Unknown config keys are rejected
+and the full configuration is validated before anything is computed or
+written.  Output directories come from --out, the config, or the
+QSKYRM_OUTPUT_DIR environment variable, in that order.  Every command is
+deterministic for a given (config, seed): no timestamps are written anywhere,
+so reruns are byte-identical, and each product embeds the SHA-256 of its
+resolved configuration.
+
+The entries of ``sphere.json``, ``tomography.json`` and ``bell.json`` are the
+fields of their record (:func:`_record`), so a new field reaches its product
+with no edit here; the other products are views that list their entries.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file (a
 directory where a file is expected included), 4 numerical failure.
@@ -28,8 +33,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields, is_dataclass
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -82,32 +88,9 @@ OUTPUT_DIR_ENV = "QSKYRM_OUTPUT_DIR"
 PLATEAU_TOL = 0.15
 
 
-@dataclass
-class RunConfig:
-    command: str
-    out_dir: str
-    seed: int
-    grid: GridSpec
-    intensity_floor: float
-    central_radius: float | None
-    state_file: str | None
-    ell_a: list
-    q: float
-    tuning: float
-    ladder: list | None
-    extract: str
-    theta: list | None
-    alpha: list | None
-    theta_fixed: float | None
-    alpha_fixed: float | None
-    total_per_setting: int
-    noiseless: bool
-    witnesses_only: bool
-    target_file: str | None
-    pol_b: str
-    pair: tuple[int, int] | None
-    werner_p: float | None
-    semantic: dict = field(repr=False, default_factory=dict)
+class RunConfig(SimpleNamespace):
+    """One command's settings: ``command``, ``grid`` (of the ``grid.*`` rows)
+    and one attribute per other ``_OPTIONS`` row, named as its ``field`` says."""
 
     def hash(self) -> str:
         return config_hash(self.semantic)
@@ -247,7 +230,7 @@ class _Option(NamedTuple):
     # richer than the list of charges its flag takes.
     kind: object
     rule: Callable = lambda value: value  # typed value -> RunConfig value: range or mapping
-    field: str = ""  # RunConfig field, when it is not the key's last part
+    field: str = ""  # RunConfig attribute, when it is not the key's last part
 
 
 # the single list of settings (see the module docstring), in --help order
@@ -433,6 +416,16 @@ def cmd_build_state(cfg: RunConfig) -> None:
     print(f"wrote {path} ({state.kind}, OAM basis {list(ells)})")
 
 
+def _record(obj, drop: tuple[str, ...] = ()) -> dict:
+    """A product's entries for the fields of dataclass ``obj``, less ``drop``;
+    a field that is itself a dataclass becomes an object of its fields."""
+    return {
+        f.name: _record(value) if is_dataclass(value := getattr(obj, f.name)) else value
+        for f in fields(obj)
+        if f.name not in drop
+    }
+
+
 def _plateaus(sphere_map) -> list[int]:
     seen: list[int] = []
     flat_n = sphere_map.n_values.ravel()
@@ -453,18 +446,7 @@ def cmd_sphere(cfg: RunConfig) -> None:
     write_csv(_out(cfg, "sphere.csv"), header, rows)
     plateaus = _plateaus(smap)
     write_json(
-        _out(cfg, "sphere.json"),
-        {
-            "theta_samples": smap.theta_samples,
-            "alpha_samples": smap.alpha_samples,
-            "n_values": smap.n_values,
-            "valid": smap.valid,
-            "method": smap.method,
-            "outer_radius": smap.outer_radius,
-            "core_scale": smap.core_scale,
-            "plateaus": plateaus,
-            "meta": cfg.meta(),
-        },
+        _out(cfg, "sphere.json"), {**_record(smap), "plateaus": plateaus, "meta": cfg.meta()}
     )
     print("plateaus: " + (", ".join(str(p) for p in plateaus) if plateaus else "(none)"))
 
@@ -622,13 +604,7 @@ def cmd_tomography(cfg: RunConfig) -> None:
     write_json(
         _out(cfg, "tomography.json"),
         {
-            "fidelity_vs_target": result.fidelity_vs_target,
-            "purity": result.purity,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "termination": result.termination,
-            "gradient_norm": result.gradient_norm,
+            **_record(result, drop=("rho_hat",)),
             "record_kind": record.kind,
             "n_settings": len(pset),
             "rho": state_to_dict(result.rho_hat),
@@ -653,17 +629,7 @@ def cmd_bell(cfg: RunConfig) -> None:
     header, rows = curves_rows(curves)
     write_csv(_out(cfg, "bell_fringes.csv"), header, rows)
     result = chsh_parameter(state, subspace)
-    write_json(
-        _out(cfg, "bell.json"),
-        {
-            "s_value": result.s_value,
-            "correlations": result.correlations,
-            "herald_phases": result.herald_phases,
-            "analyzer_angles": result.analyzer_angles,
-            "subspace": {"pol_b": subspace.pol_b, "pair": subspace.pair},
-            "meta": cfg.meta(),
-        },
-    )
+    write_json(_out(cfg, "bell.json"), {**_record(result), "meta": cfg.meta()})
     print(f"S = {result.s_value:.6f}")
 
 

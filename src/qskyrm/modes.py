@@ -26,9 +26,9 @@ cached per (charges, grid), and the cached stacks are the only stored
 copies of their profiles: a new stack copies a charge that a cached stack
 on its grid already holds and computes the others.  :func:`lg_mode` caches
 single profiles of its own.  Cached arrays are read-only; copy before
-mutating.  The frames of a dynamics sweep render on several threads at
-once (:mod:`qskyrm.topology`), which fill these caches before they start,
-so no two threads build the same stack.
+mutating.  Stack builds run one at a time under a module lock, and threads
+that miss the cache for one stack together all get the first one's build, so
+any thread may call :func:`mode_stack`.
 
 Per-frame passes over a grid (Stokes synthesis, skyrmion density) walk it in
 blocks of :data:`ROW_STRIP` rows from :func:`row_strips`, so their
@@ -38,6 +38,7 @@ temporaries stay cache-sized on large grids.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -188,8 +189,9 @@ def lg_mode(ell: int, grid: GridSpec) -> np.ndarray:
 
 
 # (ells, grid) -> its cached stack, held weakly so that it goes with the
-# cache entry
+# cache entry; read and written under _stack_lock
 _built_stacks: "weakref.WeakValueDictionary[tuple, np.ndarray]" = weakref.WeakValueDictionary()
+_stack_lock = threading.Lock()
 
 
 @lru_cache(maxsize=64)
@@ -197,16 +199,20 @@ def _mode_stack_cached(ells: tuple[int, ...], grid: GridSpec) -> np.ndarray:
     # each profile goes straight into its slot, copied from a cached stack on
     # the same grid that holds it or else computed: the stacks are the
     # profiles' only stored copies, and a charge is computed once per grid
-    stack = np.empty((len(ells),) + grid.shape, dtype=complex)
-    for k, l in enumerate(ells):
-        for (others, on), other in _built_stacks.items():
-            if on == grid and l in others:
-                stack[k] = other[others.index(l)]
-                break
-        else:
-            _envelope_free(l, grid, stack[k])
-    stack.setflags(write=False)
-    _built_stacks[ells, grid] = stack
+    with _stack_lock:
+        built = _built_stacks.get((ells, grid))
+        if built is not None:  # built by a thread that missed the cache first
+            return built
+        stack = np.empty((len(ells),) + grid.shape, dtype=complex)
+        for k, l in enumerate(ells):
+            for (others, on), other in _built_stacks.items():
+                if on == grid and l in others:
+                    stack[k] = other[others.index(l)]
+                    break
+            else:
+                _envelope_free(l, grid, stack[k])
+        stack.setflags(write=False)
+        _built_stacks[ells, grid] = stack
     return stack
 
 

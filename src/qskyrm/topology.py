@@ -99,10 +99,8 @@ from .hilbert import ProjectionAngles, State, herald_polarization
 from .modes import (
     ROW_STRIP,
     GridSpec,
-    _intensity_envelope,
     _log_norm,
     _meshgrid,
-    mode_stack,
     row_strips,
 )
 from .stokesfield import UnitStokesField, _photon_axes, orientation_psi, unit_texture
@@ -383,16 +381,6 @@ def photon_frame(photon: State, grid: GridSpec) -> tuple[UnitStokesField, Skyrmi
     unit texture straight from the kets, then the density."""
     unit = unit_texture(photon, grid)
     return unit, skyrmion_density(unit)
-
-
-def _warm_frame_caches(state: State, grid: GridSpec) -> None:
-    """Build the mode stack of each OAM axis of ``state`` and the grid's
-    intensity envelope, so that frames rendered on several threads at once
-    only read those caches."""
-    for axis in state.space.axes:
-        if axis.kind == "oam":
-            mode_stack(axis.basis.ells, grid)
-    _intensity_envelope(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +954,6 @@ def track_dynamics(
             on_frame(i, *frame)
         return entries
 
-    _warm_frame_caches(state, grid)
     # filled one submission at a time, so a task finds its predecessor's future
     futures = []
     workers = min(len(os.sched_getaffinity(0)), _MAX_FRAME_WORKERS)

@@ -1,6 +1,9 @@
 """Vortex-mode sampling: normalization, winding, ring geometry."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -94,6 +97,38 @@ def test_stacks_share_charges_and_go_with_the_cache():
     lone = mode_stack((2,), GridSpec(48, 48, half_extent=3.0))
     assert cold[2].tobytes() != lone[0].tobytes()  # a stack on another grid is no source
     np.testing.assert_array_equal(cold, mode_stack((-4, 0, 2), grid))
+
+
+def test_threads_missing_the_cache_together_get_one_stack():
+    # eight threads ask for one cold stack at once, many times over: none
+    # may raise, and each must get the stack a lone build gives, bit for bit.
+    # Stacks held on other grids give each build a long list to search
+    grid, ells, threads = GridSpec(64, 64), (0, -2, -4, 1), 8
+    expected = mode_stack(ells, grid).tobytes()
+    held = [mode_stack((0,), GridSpec(4, 4, half_extent=1.0 + k)) for k in range(64)]
+
+    def round_of_builds() -> list[bytes]:
+        modes._mode_stack_cached.cache_clear()
+        assert not any(on == grid for _, on in modes._built_stacks)  # cold
+        barrier = threading.Barrier(threads)
+
+        def ask() -> bytes:
+            barrier.wait(timeout=30)
+            return mode_stack(ells, grid).tobytes()
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(ask) for _ in range(threads)]
+            return [f.result(timeout=60) for f in futures]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            assert round_of_builds() == [expected] * threads
+        del held
+    finally:
+        sys.setswitchinterval(interval)
+        modes._mode_stack_cached.cache_clear()
 
 
 def test_stack_is_readonly(small_grid):

@@ -1,4 +1,4 @@
-"""Bit-exact pins of the segmentation, tracking and sphere products.
+"""Bit-exact pins of every subcommand's products.
 
 Each case runs one CLI command into a fresh directory and hashes every file
 it writes: the product JSON, the CSV, every ``.pgm`` raster and every raster
@@ -8,14 +8,19 @@ frame is covered.  The sphere cases run the four sphere recipes on the
 default 9 x 8 heralding grid, and the ternary once more on azimuths shifted
 by five eighths of a step, as a benchmark seed shifts them; every sample of
 them is exact, so they pin the stacked exact solves (roots, pencils, Newton
-polish, core diagnostics) to the last digit.  The digests were recorded with
-numpy 2.4 and scipy 1.17 on x86-64.  A speed-up of the frame pipeline (unit
-texture, density, segmentation, raster output) or of the exact numbers must
+polish, core diagnostics) to the last digit.  The tomography and Bell
+recipes, a 128^2 skyrmion number and Stokes field off the equator, and a
+built ladder state pin the rest; none reads an input file, whose path would
+enter ``config_sha256``.  The digests were recorded with numpy 2.4 and
+scipy 1.17 on x86-64.  A speed-up of the frame pipeline (unit texture,
+density, segmentation, raster output) or of the exact numbers must
 reproduce them exactly, last digits included.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,7 +60,26 @@ RUNS = {
         "--alpha", "0.4908738521,1.2762720155,2.0616701789,2.8470683423,"
                    "3.6324665057,4.4178646691,5.2032628325,5.9886609959",
     ],
+    "tomography_counts": [
+        "tomography", "--config", os.path.join(CONFIG_DIR, "tomography_counts.json"),
+    ],
+    **{
+        name: ["bell", "--config", os.path.join(CONFIG_DIR, name + ".json")]
+        for name in ("ideal_bell", "werner_bell")
+    },
+    "skyrmion_number_128": [
+        "skyrmion-number", "--grid-n", "128", "--theta-fixed", "1.1", "--alpha-fixed", "0.7",
+    ],
+    "stokes_field_128": [
+        "stokes-field", "--grid-n", "128", "--theta-fixed", "1.1", "--alpha-fixed", "0.7",
+    ],
+    "build_state_ladder": ["build-state", "--ladder", "0,-3,-6"],
 }
+
+# tomography.json reads ProjectorSet.step, an eigenvalue of a 288 x 288 Gram
+# matrix whose last bits depend on the number of BLAS threads; these runs go
+# through a child process with one BLAS thread, as CI and the benchmark run
+ONE_BLAS_THREAD = {"tomography_counts"}
 
 FILES = {
     "equator_quasiparticles": ["quasiparticles.json"],
@@ -73,6 +97,16 @@ FILES = {
     ],
     "equator_quasiparticles_512": ["quasiparticles.json"],
     **{name: ["sphere.csv", "sphere.json"] for name in RUNS if "sphere" in name},
+    "tomography_counts": ["measurements.csv", "tomography.json"],
+    "ideal_bell": ["bell.json", "bell_fringes.csv"],
+    "werner_bell": ["bell.json", "bell_fringes.csv"],
+    "skyrmion_number_128": ["skyrmion_number.json"],
+    "stokes_field_128": ["stokes.json"] + [
+        f"stokes_{name}.pgm{ext}"
+        for name in ("psi", "s0", "s1", "s2", "s3")
+        for ext in ("", ".json")
+    ],
+    "build_state_ladder": ["state.json"],
 }
 
 DIGESTS = {
@@ -85,6 +119,12 @@ DIGESTS = {
     "ghz_sphere": "904ae43fdd1e5578c6b1b174388ae964a7c486c8431fb3c2c253781a8de21b5c",
     "ternary_sphere": "65aed37a1402c644a869525a8a417fc39875cf70b702e7f2f12445e95b5c8a51",
     "ternary_sphere_shifted": "6c42f6a1102df1f331ac8eb49c1d67fdc35d311d980903dc15a60681f49ddf31",
+    "tomography_counts": "cfdac35bbb2033f41df2b8ab729d1d9fd3e3c78062ad5384e95bc2eb790b5968",
+    "ideal_bell": "23ad48ec708a49f4fd1bddf2f853be55a12d1c71c8035fe9b8a2e129bf3558b4",
+    "werner_bell": "b02731af4e35397c86a932d4f53b5a18e3ec337550feb4202d8fa01764c64bd2",
+    "skyrmion_number_128": "d90334b1513b5b562967da6b0dd2aa25718b947344b3a6717fc808b9849def46",
+    "stokes_field_128": "2798fbea20f1a9f1ec9d17b101c28f2195fb0c545dc05b04c1395bb5b1c1223a",
+    "build_state_ladder": "637bcb6fe4110cbc5a833af4331702696c7e644b45cbd20825a94597d4d4b866",
 }
 
 
@@ -99,8 +139,17 @@ def _file_digests(out) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_product_bytes(tmp_path, capsys, name):
     out = tmp_path / name
-    assert main(RUNS[name] + ["--out", str(out)]) == 0
-    capsys.readouterr()
+    argv = RUNS[name] + ["--out", str(out)]
+    if name in ONE_BLAS_THREAD:
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        done = subprocess.run([sys.executable, "-m", "qskyrm.cli", *argv], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path, **threads), timeout=120)
+        assert done.returncode == 0, done.stderr
+    else:
+        assert main(argv) == 0
+        capsys.readouterr()
     digests = _file_digests(out)
     assert sorted(digests) == sorted(FILES[name])
     listing = "".join(f"{k} {v}\n" for k, v in digests.items())
