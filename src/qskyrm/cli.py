@@ -478,17 +478,19 @@ def cmd_stokes_field(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
     angles = cfg.fixed_angles()
     fieldmap = conditional_stokes(state, angles, cfg.grid)
-    unit = normalize_stokes(fieldmap, cfg.intensity_floor)
+    psi = orientation_psi(normalize_stokes(fieldmap))
     for name in ("s0", "s1", "s2", "s3"):
         write_pgm(_out(cfg, f"stokes_{name}.pgm"), getattr(fieldmap, name))
-    write_pgm(_out(cfg, "stokes_psi.pgm"), orientation_psi(unit))
+    write_pgm(_out(cfg, "stokes_psi.pgm"), psi)
+    # the floor changes no texture: it only counts the cells it resolves
+    s0 = fieldmap.s0
     write_json(
         _out(cfg, "stokes.json"),
         {
             "theta": angles.theta,
             "alpha": angles.alpha,
             "total_power": fieldmap.total_power,
-            "resolved_fraction": float(unit.mask.mean()),
+            "resolved_fraction": float((s0 >= cfg.intensity_floor * float(s0.max())).mean()),
             "meta": cfg.meta(),
         },
     )
@@ -546,6 +548,11 @@ def cmd_dynamics(cfg: RunConfig) -> None:
         rendered.add(i)
 
     trace = track_dynamics(state, sweep, cfg.grid, cfg.central_radius, on_frame=render)
+    # every frame gets a raster; the tracker drops a sample it cannot herald
+    # or resolve, and computing that frame again raises the reason before
+    # dynamics.csv and dynamics.json are written
+    for i in sorted(set(range(len(sweep))) - rendered):
+        _frame(cfg, state, sweep[i])
     header, rows = trace_rows(trace)
     write_csv(_out(cfg, "dynamics.csv"), header, rows)
     write_json(
@@ -560,10 +567,6 @@ def cmd_dynamics(cfg: RunConfig) -> None:
             "meta": cfg.meta(),
         },
     )
-    # every frame gets a raster; the tracker drops a sample it cannot herald
-    # or resolve, and computing that frame again raises the reason
-    for i in sorted(set(range(len(sweep))) - rendered):
-        _frame(cfg, state, sweep[i])
     orbits = ", ".join(f"{v:+.3f}" for v in trace.net_orbit())
     print(f"{trace.n_tracks} track(s); net orbit [{orbits}]")
 

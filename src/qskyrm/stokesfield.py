@@ -22,8 +22,9 @@ beside them; its physical maps are the product.  The texture
 ``s = (S1, S2, S3)/S0`` (:func:`normalize_stokes`) does not depend on the
 factor, and off the envelope no cell of the window underflows, so s is
 defined on every cell where some ket's field is nonzero: unit length for a
-pure photon, |s| <= 1 for a mixed one.  An intensity floor on the physical
-S0 only marks which cells a detector would resolve.
+pure photon, |s| <= 1 for a mixed one.  No intensity floor enters s: the
+``stokes-field`` command alone reads a floor, off the physical S0, to
+report which cells a detector would resolve.
 
 A frame needs only the texture, so the frame path builds no Stokes maps:
 :func:`unit_texture` divides each block of rows into s while the block is
@@ -52,9 +53,6 @@ __all__ = [
     "unit_texture",
     "orientation_psi",
 ]
-
-DEFAULT_INTENSITY_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class StokesField:
@@ -98,24 +96,18 @@ class UnitStokesField:
     """Reduced Stokes vector field.
 
     ``s`` has shape (3, ny, nx) holding (s1, s2, s3), NaN on a cell where the
-    field vanishes.  ``mask`` marks the cells whose physical intensity
-    cleared the floor of :func:`normalize_stokes` or :func:`unit_texture`.
+    field vanishes.
     """
 
     grid: GridSpec
     s: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
         if s.shape != (3,) + self.grid.shape:
             raise ValueError(f"expected s shape {(3,) + self.grid.shape}, got {s.shape}")
-        if mask.shape != self.grid.shape:
-            raise ValueError("mask must match the grid shape")
-        for name, arr in (("s", s), ("mask", mask)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        s.setflags(write=False)
+        object.__setattr__(self, "s", s)
 
     s1, s2, s3 = (property(lambda self, k=k: self.s[k]) for k in range(3))
 
@@ -193,80 +185,60 @@ def conditional_stokes(
     return stokes_of_photon_state(conditional, grid)
 
 
-def _check_floor(intensity_floor: float) -> None:
-    if not 0.0 < intensity_floor <= 1.0:
-        raise ValueError(f"intensity_floor must lie in (0, 1], got {intensity_floor}")
-
-
-def _divide_rows(free: np.ndarray, envelope: np.ndarray, s: np.ndarray, s0: np.ndarray) -> None:
-    """s = (S1, S2, S3)/S0 and the physical S0 of a block of rows of
-    envelope-free maps ``free`` (4, rows, nx), into ``s`` (3, rows, nx) and
-    ``s0`` (rows, nx).  Raises :class:`InsufficientCoverageError` when the
-    block overflows."""
+def _divide_rows(free: np.ndarray, envelope: np.ndarray, s: np.ndarray) -> bool:
+    """s = (S1, S2, S3)/S0 of a block of rows of envelope-free maps ``free``
+    (4, rows, nx), into ``s`` (3, rows, nx); whether some cell of the block
+    carries physical intensity.  Raises :class:`InsufficientCoverageError`
+    when the block overflows."""
     # S0 bounds |S1|, |S2| and |S3|: a finite S0 is a finite field
     if not math.isfinite(float(free[0].max())):
         raise InsufficientCoverageError("the Stokes field overflows on this window")
     with np.errstate(invalid="ignore"):
         np.divide(free[1:], free[0], out=s)
-    np.multiply(free[0], envelope, out=s0)
+    return bool((free[0] * envelope > 0.0).any())
 
 
-def _masked(grid: GridSpec, s: np.ndarray, s0: np.ndarray, intensity_floor: float) -> UnitStokesField:
-    """The texture ``s`` with the mask of the cells whose physical ``s0``
-    reaches ``intensity_floor`` of its peak.  Raises :class:`EmptyFieldError`
-    when the field carries no intensity."""
-    peak = float(s0.max())
-    if not peak > 0.0:
+def _lit(grid: GridSpec, s: np.ndarray, lit: bool) -> UnitStokesField:
+    """The texture ``s``; raises :class:`EmptyFieldError` unless ``lit``."""
+    if not lit:
         raise EmptyFieldError("field carries no intensity")
-    return UnitStokesField(grid, s, s0 >= intensity_floor * peak)
+    return UnitStokesField(grid, s)
 
 
-def normalize_stokes(
-    field: StokesField, intensity_floor: float = DEFAULT_INTENSITY_FLOOR
-) -> UnitStokesField:
+def normalize_stokes(field: StokesField) -> UnitStokesField:
     """Reduce to s = (S1, S2, S3)/S0 on every cell.
 
     s is read off the envelope-free maps, so no cell of the window is dark.
     Where every ket's field vanishes (the centre cell of an odd grid, for a
     photon with no l = 0 amplitude) s has no direction and is left NaN, so a
-    number over the field fails loudly.  ``intensity_floor`` is relative and
-    changes no s: ``mask`` marks the cells whose physical S0 reaches
-    ``intensity_floor * max(S0)``.
+    number over the field fails loudly.
 
     Raises :class:`EmptyFieldError` when the field carries no intensity, and
     :class:`InsufficientCoverageError` when the envelope-free maps overflow.
     """
-    _check_floor(intensity_floor)
-    grid = field.grid
-    s = np.empty((3,) + grid.shape)
-    s0 = np.empty(grid.shape)
-    _divide_rows(field.free, field.envelope, s, s0)
-    return _masked(grid, s, s0, intensity_floor)
+    s = np.empty((3,) + field.grid.shape)
+    return _lit(field.grid, s, _divide_rows(field.free, field.envelope, s))
 
 
-def unit_texture(
-    photon: State, grid: GridSpec, intensity_floor: float = DEFAULT_INTENSITY_FLOOR
-) -> UnitStokesField:
-    """``normalize_stokes(stokes_of_photon_state(photon, grid), intensity_floor)``,
-    bit for bit, without building the (4, ny, nx) Stokes maps.
+def unit_texture(photon: State, grid: GridSpec) -> UnitStokesField:
+    """``normalize_stokes(stokes_of_photon_state(photon, grid))``, bit for bit,
+    without building the (4, ny, nx) Stokes maps.
 
     One pass over blocks of rows: each block's envelope-free maps are
     synthesized into one reused (4, ROW_STRIP, nx) buffer and divided into s
-    while they are still in cache; the block's physical S0 goes into the
-    grid-sized map that the mask is read from.  Raises what
-    :func:`normalize_stokes` raises, in the same cases.
+    while they are still in cache.  Raises what :func:`normalize_stokes`
+    raises, in the same cases.
     """
-    _check_floor(intensity_floor)
     kets, modes = _kets_and_modes(photon, grid)
     envelope = _intensity_envelope(grid)
     s = np.empty((3,) + grid.shape)
-    s0 = np.empty(grid.shape)
     strip = np.empty((4, ROW_STRIP, grid.nx))
+    lit = False
     for r0, r1 in row_strips(grid.ny):
         rows = strip[:, : r1 - r0]
         _stokes_strip(kets, modes[:, r0:r1], rows)
-        _divide_rows(rows, envelope[r0:r1], s[:, r0:r1], s0[r0:r1])
-    return _masked(grid, s, s0, intensity_floor)
+        lit |= _divide_rows(rows, envelope[r0:r1], s[:, r0:r1])
+    return _lit(grid, s, lit)
 
 
 def orientation_psi(field) -> np.ndarray:

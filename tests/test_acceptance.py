@@ -53,10 +53,8 @@ def report(capsys, index, name, ok, detail):
     assert ok, f"criterion {index} {name}: {detail}"
 
 
-def number_at(state, theta, alpha=0.0, grid=GRID, floor=1e-6):
-    unit = normalize_stokes(
-        conditional_stokes(state, ProjectionAngles(theta, alpha), grid), floor
-    )
+def number_at(state, theta, alpha=0.0, grid=GRID):
+    unit = normalize_stokes(conditional_stokes(state, ProjectionAngles(theta, alpha), grid))
     return skyrmion_number(skyrmion_density(unit))
 
 
@@ -306,12 +304,11 @@ def test_criterion_8_chsh(binary_state, capsys):
 def test_criterion_9_numerical_convergence(binary_state, capsys):
     fine = GridSpec(1024, 1024, 6.0, 1.0)
     finer = GridSpec(2048, 2048, 6.0, 1.0)
-    floor = 1e-14
-    n_pole = number_at(binary_state, 0.0, grid=fine, floor=floor)
-    n_eq = number_at(binary_state, EQUATOR, grid=fine, floor=floor)
+    n_pole = number_at(binary_state, 0.0, grid=fine)
+    n_eq = number_at(binary_state, EQUATOR, grid=fine)
     int_err = max(abs(n_pole + 2.0), abs(n_eq + 4.0))
-    d_pole = abs(number_at(binary_state, 0.0, grid=finer, floor=floor) - n_pole)
-    d_eq = abs(number_at(binary_state, EQUATOR, grid=finer, floor=floor) - n_eq)
+    d_pole = abs(number_at(binary_state, 0.0, grid=finer) - n_pole)
+    d_eq = abs(number_at(binary_state, EQUATOR, grid=finer) - n_eq)
     ok = int_err < 0.02 and max(d_pole, d_eq) < 0.05
     report(
         capsys,

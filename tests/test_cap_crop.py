@@ -79,7 +79,7 @@ def density_of(grid, s3, phi):
     in-plane angle ``phi``."""
     rho = np.sqrt(1.0 - s3**2)
     s = np.stack([rho * np.cos(phi), rho * np.sin(phi), s3])
-    return skyrmion_density(UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool)))
+    return skyrmion_density(UnitStokesField(grid, s))
 
 
 def assert_same_report(got, want):

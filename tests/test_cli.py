@@ -18,9 +18,11 @@ from qskyrm import (
     State,
     build_spin_skyrmion_state,
     conditional_stokes,
+    herald_polarization,
     normalize_stokes,
     save_state,
     skyrmion_density,
+    stokes_of_photon_state,
 )
 from qskyrm import cli, topology
 from qskyrm.cli import _OPTIONS, _build_parser, main, resolve_config
@@ -269,6 +271,26 @@ def test_flags_override_config(tmp_path):
     assert header == b"96 96"
 
 
+@pytest.mark.parametrize("floor", [1e-6, 1e-3])
+def test_resolved_fraction_counts_the_cells_over_the_floor(tmp_path, floor):
+    out = tmp_path / "o"
+    assert main(["stokes-field", "--out", str(out), "--grid-n", "64", "--floor", str(floor)]) == 0
+    state = build_spin_skyrmion_state([0], QPlateParams(1.0, 0.5))
+    photon, _ = herald_polarization(state, ProjectionAngles(0.5 * math.pi, 0.0))
+    s0 = stokes_of_photon_state(photon, GridSpec(64, 64)).s0
+    resolved = np.count_nonzero(s0 >= floor * s0.max())
+    assert 0 < resolved < s0.size
+    assert read_json(out / "stokes.json")["resolved_fraction"] == resolved / s0.size
+
+
+@pytest.mark.parametrize("floor", ["0", "1.5"])
+def test_floor_outside_the_unit_interval_is_a_config_error(tmp_path, capsys, floor):
+    out = tmp_path / "o"
+    assert main(["stokes-field", "--out", str(out), "--grid-n", "64", "--floor", floor]) == 2
+    assert "analysis.intensity_floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_skyrmion_number_at_pole(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(
@@ -399,7 +421,7 @@ def test_dynamics_frame_matches_direct_render(tmp_path):
     assert main(argv + ["--alpha", ",".join(map(str, alphas))]) == 0
     state = build_spin_skyrmion_state([0], QPlateParams(1.0, 0.5))
     unit = normalize_stokes(
-        conditional_stokes(state, ProjectionAngles(1.26, alphas[2]), GridSpec(64, 64)), 1e-6
+        conditional_stokes(state, ProjectionAngles(1.26, alphas[2]), GridSpec(64, 64))
     )
     write_pgm(str(tmp_path / "ref.pgm"), skyrmion_density(unit).sigma)
     for suffix in ("", ".json"):
@@ -426,12 +448,14 @@ def test_dynamics_computes_each_orientation_once(tmp_path, monkeypatch):
 
 
 def test_dynamics_unheralded_sample_is_numerical_failure(tmp_path, capsys):
-    # with the plate off, heralding at the south pole has zero probability
+    # with the plate off, heralding at the south pole has zero probability;
+    # the run writes no product that would read as complete
+    out = tmp_path / "o"
     code = main(
         [
             "dynamics",
             "--out",
-            str(tmp_path / "o"),
+            str(out),
             "--grid-n",
             "64",
             "--tuning",
@@ -442,6 +466,8 @@ def test_dynamics_unheralded_sample_is_numerical_failure(tmp_path, capsys):
     )
     assert code == 4
     assert "heralding probability" in capsys.readouterr().err
+    assert not (out / "dynamics.json").exists()
+    assert not (out / "dynamics.csv").exists()
 
 
 def test_dynamics_needs_enough_samples(tmp_path, capsys):

@@ -119,12 +119,13 @@ def test_stokes_rejects_tripartite_input(small_grid, binary_state):
         stokes_of_photon_state(binary_state, small_grid)
 
 
-def test_normalize_masks_dark_skirt(small_grid):
+def test_normalize_defines_s_on_the_dark_skirt(small_grid):
     state = photon_state([1.0], [0.0], (0,))
     f = stokes_of_photon_state(state, small_grid)
-    unit = normalize_stokes(f, intensity_floor=1e-3)
-    assert unit.mask.any() and not unit.mask.all()
-    # the floor only marks cells: s is S/S0 on every one
+    unit = normalize_stokes(f)
+    skirt = f.s0 < 1e-3 * f.s0.max()
+    assert skirt.any() and not skirt.all()
+    # no cell is left out: s is S/S0 on the skirt too
     np.testing.assert_allclose(unit.s3, 1.0, atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(unit.s, axis=0), 1.0, atol=1e-12)
 
@@ -181,7 +182,7 @@ def test_unit_field_is_the_physical_texture(sample):
     field = stokes_of_photon_state(state, grid)
     unit = normalize_stokes(field)
     want = physical_stokes(state, grid)
-    cells = unit.mask | (want[0] > 1e-250)
+    cells = (field.s0 >= 1e-6 * field.s0.max()) | (want[0] > 1e-250)
     np.testing.assert_allclose(unit.s[:, cells], want[1:, cells] / want[0, cells], rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(field.s0, want[0], rtol=1e-12, atol=0.0)
 
@@ -224,15 +225,6 @@ def test_overflowing_field_fails_loudly():
     assert not np.isfinite(field.free[0]).all()
     with pytest.raises(InsufficientCoverageError, match="overflows"):
         normalize_stokes(field)
-
-
-def test_normalize_floor_validation(small_grid):
-    state = photon_state([1.0], [0.0], (0,))
-    f = stokes_of_photon_state(state, small_grid)
-    with pytest.raises(ValueError):
-        normalize_stokes(f, intensity_floor=0.0)
-    with pytest.raises(ValueError):
-        normalize_stokes(f, intensity_floor=1.5)
 
 
 def test_normalize_rejects_dark_field(small_grid):

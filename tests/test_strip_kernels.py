@@ -119,13 +119,12 @@ def test_strip_density_matches_whole_grid_in_both_layouts(photon, ny, nx):
 
 
 @settings(max_examples=60, deadline=None)
-@given(photons(VORTEX_STATES), ROWS, COLS, st.sampled_from([1e-6, 1e-2, 0.5, 1.0]))
-def test_unit_texture_is_the_normalized_stokes_maps(photon, ny, nx, floor):
+@given(photons(VORTEX_STATES), ROWS, COLS)
+def test_unit_texture_is_the_normalized_stokes_maps(photon, ny, nx):
     grid = GridSpec(nx=nx, ny=ny)
-    got = unit_texture(photon, grid, floor)
-    want = normalize_stokes(stokes_of_photon_state(photon, grid), floor)
+    got = unit_texture(photon, grid)
+    want = normalize_stokes(stokes_of_photon_state(photon, grid))
     assert got.s.tobytes() == want.s.tobytes()
-    assert np.array_equal(got.mask, want.mask)
 
 
 def test_unit_texture_leaves_the_centre_of_an_odd_grid_undefined():
@@ -162,24 +161,17 @@ def test_unit_texture_raises_what_normalize_stokes_raises(photon, grid, error, m
         unit_texture(photon, grid)
 
 
-@pytest.mark.parametrize("floor", [0.0, 1.5])
-def test_unit_texture_rejects_a_floor_outside_the_unit_interval(floor):
-    photon = single_photon([1.0], [0.0], (0,))
-    with pytest.raises(ValueError, match="intensity_floor"):
-        unit_texture(photon, GridSpec(8, 8), floor)
-
-
 def uniform_field(grid, value=1.0):
     s = np.zeros((3,) + grid.shape)
     s[2] = value
-    return UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool))
+    return UnitStokesField(grid, s)
 
 
 def with_nan_cells(field, fraction):
     s = field.s.copy()
     n = round(fraction * s[0].size)
     s[0].reshape(-1)[:n] = np.nan
-    return UnitStokesField(field.grid, s, field.mask)
+    return UnitStokesField(field.grid, s)
 
 
 def test_density_gate_passes_four_percent_nan_cells():

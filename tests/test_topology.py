@@ -29,15 +29,15 @@ from qskyrm import topology
 EQUATOR = ProjectionAngles(0.5 * math.pi, 0.0)
 
 
-def unit_texture(grid, binary_state, angles=EQUATOR, floor=1e-6):
-    return normalize_stokes(conditional_stokes(binary_state, angles, grid), floor)
+def unit_texture(grid, binary_state, angles=EQUATOR):
+    return normalize_stokes(conditional_stokes(binary_state, angles, grid))
 
 
 def uniform_unit_field(grid, direction=(0.0, 0.0, 1.0)):
     s = np.zeros((3,) + grid.shape)
     for k, v in enumerate(direction):
         s[k] = v
-    return UnitStokesField(grid, s, np.ones(grid.shape, dtype=bool))
+    return UnitStokesField(grid, s)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_density_requires_coverage(small_grid):
     field = uniform_unit_field(small_grid)
     s = field.s.copy()
     s[:, : small_grid.ny // 8, :] = np.nan  # blank out 12.5% of the rows
-    broken = UnitStokesField(small_grid, s, field.mask)
+    broken = UnitStokesField(small_grid, s)
     with pytest.raises(InsufficientCoverageError):
         skyrmion_density(broken)
 
@@ -67,7 +67,7 @@ def test_number_rejects_non_finite_density(small_grid, binary_state):
     unit = unit_texture(small_grid, binary_state)
     s = unit.s.copy()
     s[:, 60:62, :] = np.nan
-    broken = UnitStokesField(small_grid, s, unit.mask)
+    broken = UnitStokesField(small_grid, s)
     density = skyrmion_density(broken)
     with pytest.raises(InsufficientCoverageError, match=r"finite on 9\d\.\d%"):
         skyrmion_number(density)
