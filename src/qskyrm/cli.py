@@ -64,6 +64,7 @@ from .hilbert import (
     save_state,
     state_to_dict,
     _charge,
+    _normalize_projection,
 )
 from .modes import GridSpec
 from .stokesfield import conditional_stokes, normalize_stokes, orientation_psi
@@ -173,6 +174,9 @@ def _snap_angle(value: float, hi: float) -> float:
     return value
 
 
+_nonempty = _require(len, "must list at least one angle, got {}")
+
+
 def _theta(value: float) -> float:
     return ProjectionAngles(_snap_angle(value, math.pi)).theta
 
@@ -214,6 +218,12 @@ def _parse_projection(raw) -> list:
     return entries
 
 
+def _projection(entries: list) -> list:
+    """state.ell_a's rule: hilbert's own check of a projection, value unchanged."""
+    _normalize_projection(entries)  # distinct charges, some weight
+    return entries
+
+
 class _Option(NamedTuple):
     """One setting: config key, default, flag, help text, kind and rule."""
 
@@ -229,14 +239,17 @@ class _Option(NamedTuple):
     # null.  A function parses the value itself: state.ell_a's file form is
     # richer than the list of charges its flag takes.
     kind: object
-    rule: Callable = lambda value: value  # typed value -> RunConfig value: range or mapping
+    # typed value -> RunConfig value: range or mapping; a ValueError it raises
+    # is a config error that names the key
+    rule: Callable = lambda value: value
     field: str = ""  # RunConfig attribute, when it is not the key's last part
 
 
 # the single list of settings (see the module docstring), in --help order
 _OPTIONS = (
     _Option("output_dir", None, "--out", "output directory", str, field="out_dir"),
-    _Option("seed", 7, "--seed", "seed for anything stochastic", int),
+    _Option("seed", 7, "--seed", "seed for anything stochastic", int,
+            _require(lambda v: v >= 0, "must be >= 0, got {}")),
     _Option("grid.n", 512, "--grid-n", "grid cells per side", int, field="grid_n"),
     _Option("grid.half_extent", 4.0, "--half-extent", "half window size (waist units)", float),
     _Option("grid.waist", 1.0, "--waist", "mode waist", float),
@@ -246,7 +259,7 @@ _OPTIONS = (
     _Option("state.file", None, "--state", "input state file (overrides built state)", str,
             field="state_file"),
     _Option("state.ell_a", [0], "--ell-a", "comma-separated arm-A projection charges",
-            _parse_projection),
+            _parse_projection, _projection),
     _Option("state.q", 1.0, "--q", "plate charge q (2q integer)", float,
             lambda v: QPlateParams(v).q),
     _Option("state.tuning", 0.5, "--tuning", "plate tuning in [0, 1]", float,
@@ -257,9 +270,9 @@ _OPTIONS = (
     _Option("state.extract", "none", "--extract", "post-build filter",
             ("none", "ghz", "reference")),
     _Option("sweep.theta", None, "--theta", "comma-separated polar heralding angles",
-            [float], lambda v: [_theta(t) for t in v]),
+            [float], lambda v: [_theta(t) for t in _nonempty(v)]),
     _Option("sweep.alpha", None, "--alpha", "comma-separated azimuthal heralding angles",
-            [float], lambda v: [_alpha(a) for a in v]),
+            [float], lambda v: [_alpha(a) for a in _nonempty(v)]),
     _Option("sweep.theta_fixed", None, "--theta-fixed", "fixed polar angle", float, _theta),
     _Option("sweep.alpha_fixed", None, "--alpha-fixed", "fixed azimuthal angle", float, _alpha),
     _Option("analysis.central_radius", None, "--central-radius", "central-region radius",
@@ -355,7 +368,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             try:
                 typed = None if raw is None and opt.default is None else _typed(opt.kind, raw)
                 values[opt.field or name] = None if typed is None else opt.rule(typed)
-            except ConfigError as exc:
+            except ValueError as exc:  # a ConfigError, or a rule's range check
                 raise ConfigError(f"{opt.key} {exc}") from None
             if opt.key != "output_dir":
                 slot, name = _slot(semantic, opt.key)

@@ -46,7 +46,6 @@ __all__ = [
     "State",
     "QPlateParams",
     "ProjectionAngles",
-    "SpdcSpectrum",
     "polarization_ket",
     "apply_qplate",
     "spdc_pair_state",
@@ -54,7 +53,6 @@ __all__ = [
     "balanced_switch_state",
     "herald_polarization",
     "project_oam",
-    "project_oam_b",
     "restrict_oam_b",
     "extract_ghz_state",
     "extract_reference_state",
@@ -207,7 +205,7 @@ class Space:
         for i, ax in enumerate(self.axes):
             if ax.name == name:
                 return i
-        raise KeyError(name)
+        raise UnsupportedStateError(f"state has no {name} axis")
 
     def axis(self, name: str) -> Axis:
         return self.axes[self.axis_position(name)]
@@ -403,31 +401,6 @@ class ProjectionAngles:
         )
 
 
-@dataclass(frozen=True)
-class SpdcSpectrum:
-    """Real, non-negative OAM amplitudes of the pair source, unit L2 norm."""
-
-    weights: Mapping[int, float]
-
-    def __post_init__(self):
-        w = {_charge(l): float(a) for l, a in dict(self.weights).items()}
-        if not w:
-            raise EmptyStateError("spectrum has no entries")
-        if any(a < 0.0 for a in w.values()):
-            raise ValueError("spectrum amplitudes must be non-negative")
-        nrm = math.sqrt(sum(a * a for a in w.values()))
-        if nrm <= 0.0:
-            raise EmptyStateError("spectrum has zero total weight")
-        object.__setattr__(self, "weights", {l: a / nrm for l, a in w.items()})
-
-    @staticmethod
-    def flat(ells: Sequence[int]) -> "SpdcSpectrum":
-        return SpdcSpectrum({_charge(l): 1.0 for l in ells})
-
-    def amplitude(self, ell: int) -> float:
-        return self.weights.get(_charge(ell), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -468,14 +441,8 @@ def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
         raise UnsupportedStateError("apply_qplate acts on pure states only")
     if arm not in ("A", "B"):
         raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
-    try:
-        ip = state.space.axis_position(f"pol_{arm}")
-        io = state.space.axis_position(f"oam_{arm}")
-    except KeyError:
-        raise UnsupportedStateError(
-            f"state carries no polarization+OAM axes for arm {arm!r}"
-        ) from None
-
+    ip = state.space.axis_position(f"pol_{arm}")
+    io = state.space.axis_position(f"oam_{arm}")
     basis = state.space.axes[io].basis
     shift = params.charge_shift
     keep = math.sqrt(1.0 - params.tuning)
@@ -501,20 +468,17 @@ def apply_qplate(state: State, arm: str, params: QPlateParams) -> State:
     return State(space, "pure", out.reshape(-1))
 
 
-def spdc_pair_state(ells_a: Sequence[int], spectrum: SpdcSpectrum | None = None) -> State:
-    """Anti-correlated pair state sum_l c_l |R, l>_A |R, -l>_B before the plates."""
-    ells_a = tuple(_charge(l) for l in ells_a)
-    if spectrum is None:
-        spectrum = SpdcSpectrum.flat(ells_a)
-    amps = np.array([spectrum.amplitude(l) for l in ells_a], dtype=float)
-    if np.linalg.norm(amps) <= 0.0:
-        raise EmptyStateError("all requested charges have zero source weight")
-    amps = amps / np.linalg.norm(amps)
-    basis_a = OamBasis(ells_a)
-    basis_b = OamBasis(tuple(-l for l in ells_a))
+def spdc_pair_state(ells_a: Sequence[int]) -> State:
+    """Anti-correlated pair state sum_l |R, l>_A |R, -l>_B / sqrt(k) over the k
+    distinct arm-A charges ``ells_a``, before the plates: the source spectrum
+    is flat.  No charge is an :class:`EmptyStateError`."""
+    basis_a = OamBasis(tuple(ells_a))
+    amps = np.full(basis_a.dim, 1.0 / math.sqrt(basis_a.dim))
+    amps = amps / np.linalg.norm(amps)  # moves the last bit for k = 2, 5, 7, ...
+    basis_b = OamBasis(tuple(-l for l in basis_a.ells))
     space = Space.pair(basis_a, basis_b)
     psi = np.zeros(space.dims, dtype=complex)
-    for k, l in enumerate(ells_a):
+    for k, l in enumerate(basis_a.ells):
         psi[0, k, 0, basis_b.index(-l)] = amps[k]
     return State(space, "pure", psi.reshape(-1))
 
@@ -561,7 +525,7 @@ def build_spin_skyrmion_state(ell_a, params: QPlateParams) -> State:
     pair = spdc_pair_state(_union((), (c for l, _ in proj for c in (l, l + shift))))
     pair = apply_qplate(pair, "A", params)
     pair = apply_qplate(pair, "B", params)
-    out, _ = project_oam(pair, "A", proj, keep_axis=False)
+    out, _ = project_oam(pair, "A", proj)
 
     # canonical tripartite ordering: ladders from each projection charge,
     # deduplicated, descending for positive q (ascending for negative)
@@ -609,25 +573,20 @@ def _from_kets(space: Space, kets: np.ndarray, pure: bool) -> State:
     return State(space, "density", flat.T @ flat.conj())
 
 
-def herald_polarization(state: State, angles: ProjectionAngles) -> tuple[State, float]:
-    """Project arm A's polarization onto the heralding ket and drop that axis.
+def _condition(state: State, axis: str, ket: np.ndarray, what: str) -> tuple[State, float]:
+    """Condition ``state`` on finding ``axis`` in ``ket`` and drop that axis.
 
-    Each ket of the state's ensemble is contracted with the heralding ket; the
-    heralding probability is the total squared norm of what remains.  Returns
-    the renormalized conditional state (for the canonical tripartite input:
-    photon B over pol_B x oam_B, of the input's kind) and that probability.
+    Each ket of the state's ensemble is contracted with ``ket``; the
+    probability is the total squared norm of what remains, and below
+    ``_PROB_FLOOR`` it is a :class:`ZeroProbabilityError` naming ``what``.
+    Returns the renormalized state, of the input's kind, and that probability.
     """
-    try:
-        ip = state.space.axis_position("pol_A")
-    except KeyError:
-        raise UnsupportedStateError("state has no pol_A axis to herald on") from None
-    cond = np.tensordot(angles.ket().conj(), state.kets(), axes=(0, ip + 1))
+    i = state.space.axis_position(axis)
+    cond = np.tensordot(ket.conj(), state.kets(), axes=(0, i + 1))
     prob = float(np.sum(np.abs(cond) ** 2))
     if prob < _PROB_FLOOR:
-        raise ZeroProbabilityError(
-            f"heralding probability {prob:.3e} below {_PROB_FLOOR:.0e}"
-        )
-    space = state.space.drop_axis("pol_A")
+        raise ZeroProbabilityError(f"{what} probability {prob:.3e} below {_PROB_FLOOR:.0e}")
+    space = state.space.drop_axis(axis)  # cond's axes follow the remaining order
     return _from_kets(space, cond / math.sqrt(prob), state.is_pure), prob
 
 
@@ -641,61 +600,38 @@ def _chi_vector(basis: OamBasis, entries: Sequence[tuple[int, complex]]) -> np.n
     return chi
 
 
-def project_oam(
-    state: State, arm: str, coeffs, keep_axis: bool = True
-) -> tuple[State, float]:
-    """Project the named arm's OAM onto the superposition given by ``coeffs``.
+def herald_polarization(state: State, angles: ProjectionAngles) -> tuple[State, float]:
+    """Project arm A's polarization onto the heralding ket and drop that axis.
 
-    ``coeffs`` follows the same forms as in :func:`build_spin_skyrmion_state`
-    and is normalized.  Each ket of the state's ensemble is contracted with
-    the requested OAM ket; the probability is the total squared norm of what
-    remains.  Requested charges absent from the state's basis contribute
-    nothing to the probability; with ``keep_axis`` they do appear in the
-    output (every ket collapses onto the full requested OAM ket, so the basis
-    is extended to hold it).  Without ``keep_axis`` the axis is removed.
-    Returns the renormalized state, of the input's kind, and the projection
+    Returns the renormalized conditional state (for the canonical tripartite
+    input: photon B over pol_B x oam_B, of the input's kind) and the heralding
     probability.
     """
-    try:
-        io = state.space.axis_position(f"oam_{arm}")
-    except KeyError:
-        raise UnsupportedStateError(f"state has no OAM axis for arm {arm!r}") from None
-    basis = state.space.axes[io].basis
-    entries = _normalize_projection(coeffs)
-    chi_in = _chi_vector(basis, entries)
-    if np.linalg.norm(chi_in) == 0.0:
+    return _condition(state, "pol_A", angles.ket(), "heralding")
+
+
+def project_oam(state: State, arm: str, coeffs) -> tuple[State, float]:
+    """Project the named arm's OAM onto the superposition given by ``coeffs``
+    and drop that axis.
+
+    ``coeffs`` follows the same forms as in :func:`build_spin_skyrmion_state`
+    and is normalized.  Requested charges absent from the state's basis
+    contribute nothing; when none is present the projection is a
+    :class:`ZeroProbabilityError`.  Returns the renormalized state, of the
+    input's kind, and the projection probability.
+    """
+    axis = f"oam_{arm}"
+    chi = _chi_vector(state.space.axis(axis).basis, _normalize_projection(coeffs))
+    if np.linalg.norm(chi) == 0.0:
         raise ZeroProbabilityError("projection charges are all outside the basis")
-
-    overlap = np.tensordot(chi_in.conj(), state.kets(), axes=(0, io + 1))
-    prob = float(np.sum(np.abs(overlap) ** 2))
-    if prob < _PROB_FLOOR:
-        raise ZeroProbabilityError(
-            f"projection probability {prob:.3e} below {_PROB_FLOOR:.0e}"
-        )
-    if not keep_axis:
-        # overlap's axes follow the remaining order, which matches `space`
-        space = state.space.drop_axis(f"oam_{arm}")
-        return _from_kets(space, overlap / math.sqrt(prob), state.is_pure), prob
-    wide = OamBasis(_union(basis.ells, (l for l, _ in entries)))
-    amps = dict(entries)
-    chi_full = np.array([amps.get(l, 0.0) for l in wide.ells], dtype=complex)
-    out = np.multiply.outer(chi_full, overlap / math.sqrt(prob))
-    out = np.moveaxis(out, 0, io + 1)
-    space = state.space.replace_basis(arm, wide)
-    return _from_kets(space, out, state.is_pure), prob
-
-
-def project_oam_b(state: State, coeffs) -> State:
-    """Rank-one filter of photon B's OAM onto ``coeffs``; axis kept, renormalized."""
-    out, _ = project_oam(state, "B", coeffs, keep_axis=True)
-    return out
+    return _condition(state, axis, chi, "projection")
 
 
 def restrict_oam_b(state: State, ells: Sequence[int]) -> State:
-    """Constrain photon B's OAM to the subspace spanned by ``ells``.
+    """Constrain photon B's OAM to the subspace spanned by ``ells``, basis kept.
 
-    Unlike :func:`project_oam_b` this keeps coherences between the retained
-    charges, so entanglement with the other axes survives.
+    Unlike a projection onto one OAM ket this keeps coherences between the
+    retained charges, so entanglement with the other axes survives.
     """
     io = state.space.axis_position("oam_B")
     basis = state.space.axes[io].basis
@@ -729,8 +665,8 @@ def extract_ghz_state(state: State) -> State:
 
 
 def extract_reference_state(state: State) -> State:
-    """Filter photon B's OAM onto the middle charge of its three-charge ladder."""
-    return project_oam_b(state, {_ladder(state)[1]: 1.0})
+    """Restrict photon B's OAM to the middle charge of its three-charge ladder."""
+    return restrict_oam_b(state, (_ladder(state)[1],))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,33 @@ def test_each_setting_rejects_a_value_of_the_wrong_type(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+# values of the right type that used to pass the configuration check and fail
+# only once the command computed with them, as a numerical failure (exit 4)
+COMPUTE_TIME_ERRORS = [
+    pytest.param(["sphere", "--theta", ","], None, "sweep.theta", id="empty-theta-flag"),
+    pytest.param(["dynamics", "--alpha", ","], None, "sweep.alpha", id="empty-alpha-flag"),
+    pytest.param(["sphere"], {"sweep": {"alpha": []}}, "sweep.alpha", id="empty-alpha-file"),
+    pytest.param(["tomography", "--seed", "-1"], None, "seed", id="negative-seed"),
+    pytest.param(["build-state", "--ell-a", "0,0"], None, "state.ell_a", id="duplicate-flag"),
+    pytest.param(["build-state"], {"state": {"ell_a": [0, [0, 1.0]]}}, "state.ell_a",
+                 id="duplicate-file"),
+    pytest.param(["build-state"], {"state": {"ell_a": [[0, 0.0]]}}, "state.ell_a",
+                 id="zero-weight"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, key", COMPUTE_TIME_ERRORS)
+def test_values_that_fail_only_when_computed_are_config_errors(tmp_path, capsys, argv, doc, key):
+    out = tmp_path / "o"
+    if doc is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_state_file_is_not_a_descriptor(tmp_path):
     # open() takes an int as a file descriptor: it must never get one
     with open(tmp_path / "held.txt", "w") as held:
@@ -593,6 +620,23 @@ def test_extract_ghz_through_cli(tmp_path):
     assert code == 0
     doc = read_json(out / "state.json")
     assert doc["kind"] == "pure"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-state", "--extract", "ghz"],
+    ["build-state", "--extract", "reference"],
+    ["bell"],
+    ["tomography"],
+], ids=" ".join)
+def test_state_without_photon_b_is_numerical_failure(tmp_path, capsys, argv):
+    # a state over pol_A x oam_A only: each command that needs photon B's OAM
+    # names the missing axis
+    path = tmp_path / "photon_a.json"
+    save_state(path, State.pure(Space.photon(OamBasis((0, -2)), arm="A"), [1.0, 0.0, 0.0, 0.0]))
+    out = tmp_path / "o"
+    assert main(argv + ["--state", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "oam_B" in err
 
 
 def without(key):

@@ -57,25 +57,6 @@ def ref_herald(state, angles):
     return ref_sandwich(state, "pol_A", angles.ket())
 
 
-def ref_project_keep(state, coeffs):
-    """Kept-axis projection: |chi><chi| (x) conditional state over the basis
-    widened by the requested charges (appended in request order)."""
-    io = state.space.axis_position("oam_B")
-    basis = state.space.oam_basis("B")
-    nrm = math.sqrt(sum(abs(a) ** 2 for a in coeffs.values()))
-    chi_in = np.array([coeffs.get(l, 0.0) for l in basis.ells], dtype=complex) / nrm
-    cond, prob = ref_sandwich(state, "oam_B", chi_in)
-    wide = OamBasis(basis.ells + tuple(l for l in coeffs if l not in basis))
-    chi = np.array([coeffs.get(l, 0.0) for l in wide.ells], dtype=complex) / nrm
-    space = state.space.replace_basis("B", wide)
-    n = len(space.axes)
-    rest = tuple(d for k, d in enumerate(space.dims) if k != io)
-    mat = np.multiply.outer(np.outer(chi, chi.conj()), cond)
-    mat = mat.reshape((wide.dim, wide.dim) + rest + rest)
-    mat = np.moveaxis(mat, (0, 1), (io, n + io))
-    return mat.reshape(space.dim, space.dim), prob, space
-
-
 def ref_restrict(state, ells):
     n = len(state.space.axes)
     io = state.space.axis_position("oam_B")
@@ -206,7 +187,7 @@ def test_project_oam_matches_reference(ensemble, data):
     )
     coeffs = dict(zip(inside + outside, amps))
 
-    out, prob = project_oam(state, "B", coeffs, keep_axis=False)
+    out, prob = project_oam(state, "B", coeffs)
     ref, ref_prob = ref_sandwich(
         state,
         "oam_B",
@@ -215,13 +196,6 @@ def test_project_oam_matches_reference(ensemble, data):
     )
     assert out.kind == state.kind
     assert not out.space.has_axis("oam_B")
-    assert abs(prob - ref_prob) < TOL
-    np.testing.assert_allclose(as_density(out), ref, atol=TOL)
-
-    out, prob = project_oam(state, "B", coeffs, keep_axis=True)
-    ref, ref_prob, ref_space = ref_project_keep(state, coeffs)
-    assert out.kind == state.kind
-    assert out.space == ref_space
     assert abs(prob - ref_prob) < TOL
     np.testing.assert_allclose(as_density(out), ref, atol=TOL)
 
@@ -267,11 +241,10 @@ def test_coincidence_matches_reference(ensemble, pol_b, chi, theta_b):
     assert abs(got - ref_coincidence(state, chi, theta_b, subspace)) < TOL
 
 
-@pytest.mark.parametrize("keep_axis", [True, False])
-def test_density_projection_extends_basis_like_pure(binary_state, keep_axis):
-    coeffs = {0: 1.0, 5: 1.0j}
-    pure, p_pure = project_oam(binary_state, "B", coeffs, keep_axis=keep_axis)
-    dens, p_dens = project_oam(binary_state.to_density(), "B", coeffs, keep_axis=keep_axis)
+def test_density_projection_drops_the_axis_like_pure(binary_state):
+    coeffs = {0: 1.0, 5: 1.0j}  # 5 is outside the basis
+    pure, p_pure = project_oam(binary_state, "B", coeffs)
+    dens, p_dens = project_oam(binary_state.to_density(), "B", coeffs)
     assert dens.kind == "density"
     assert dens.space == pure.space
     assert abs(p_pure - p_dens) < TOL

@@ -17,21 +17,22 @@ MODULES = ["qskyrm"] + [
 ]
 LIBRARY = ["bell", "errors", "hilbert", "modes", "stokesfield", "tomography", "topology"]
 
-# qskyrm.__all__ before the package built it from the module lists; the
+# qskyrm.__all__ before the package built it from the module lists, less
+# SpdcSpectrum and project_oam_b, which no caller used and were deleted; the
 # package must keep exporting each of these
 PARENT_EXPORTS = [
     "BasisMismatchError", "BellSubspace", "ChshResult", "ConfigError", "DynamicsTrace",
     "EmptyFieldError", "EmptyStateError", "GridSpec", "InsufficientCoverageError",
     "MeasurementRecord", "MissingInputError", "OamBasis", "ProjectionAngles",
     "ProjectorSet", "QPlateParams", "QskyrmError", "QuasiparticleReport",
-    "ReconstructionResult", "SkyrmionDensityField", "Space", "SpdcSpectrum", "SphereMap",
+    "ReconstructionResult", "SkyrmionDensityField", "Space", "SphereMap",
     "State", "StokesField", "TSIRELSON_BOUND", "UnitStokesField", "UnsupportedStateError",
     "ZeroProbabilityError", "__version__", "apply_qplate", "balanced_switch_state",
     "bell_curves", "build_projector_set", "build_spin_skyrmion_state", "chsh_parameter",
     "conditional_stokes", "extract_ghz_state", "extract_reference_state", "fidelity",
     "forward_model", "grid_axes", "herald_polarization", "heralded_werner_state", "lg_mode",
     "load_state", "locate_quasiparticles", "mode_stack", "normalize_stokes",
-    "orientation_psi", "polar_coords", "polarization_ket", "project_oam", "project_oam_b",
+    "orientation_psi", "polar_coords", "polarization_ket", "project_oam",
     "purity", "reconstruct", "restrict_oam_b", "save_state", "simulate_counts",
     "skyrmion_density", "skyrmion_number", "spdc_pair_state", "sphere_sweep",
     "state_from_dict", "state_overlap", "state_to_dict", "stokes_of_photon_state",

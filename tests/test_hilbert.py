@@ -14,7 +14,6 @@ from qskyrm import (
     ProjectionAngles,
     QPlateParams,
     Space,
-    SpdcSpectrum,
     State,
     UnsupportedStateError,
     ZeroProbabilityError,
@@ -72,6 +71,25 @@ def test_tripartite_space_layout():
     assert space.axis_position("pol_A") == 0
     assert space.axis_position("pol_B") == 1
     assert space.axis_position("oam_B") == 2
+
+
+def test_missing_axis_is_unsupported():
+    space = Space.tripartite(OamBasis((0, -2, -4)))
+    with pytest.raises(UnsupportedStateError, match="state has no oam_A axis"):
+        space.axis_position("oam_A")
+
+
+# photon B alone has no arm-A axes, photon A alone no oam_B
+@pytest.mark.parametrize("op, arm, axis", [
+    (lambda s: herald_polarization(s, ProjectionAngles(0.5, 0.0)), "B", "pol_A"),
+    (lambda s: project_oam(s, "A", 0), "B", "oam_A"),
+    (lambda s: apply_qplate(s, "A", QPlateParams(1.0, 0.5)), "B", "pol_A"),
+    (extract_reference_state, "A", "oam_B"),
+], ids=["herald", "project", "qplate", "reference"])
+def test_operations_on_a_missing_axis_name_it(op, arm, axis):
+    photon = State.pure(Space.photon(OamBasis((0, -2)), arm=arm), [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(UnsupportedStateError, match=f"state has no {axis} axis"):
+        op(photon)
 
 
 def test_oam_basis_rejects_duplicates():
@@ -192,8 +210,7 @@ def test_projection_rejects_bool_charges(ell_a):
     (lambda: build_spin_skyrmion_state({1.5: 1.0}, QPlateParams(1.0, 0.5)), "1.5"),
     (lambda: build_spin_skyrmion_state([(1.5, 1.0)], QPlateParams(1.0, 0.5)), "1.5"),
     (lambda: build_spin_skyrmion_state([("1", 1.0)], QPlateParams(1.0, 0.5)), "'1'"),
-    (lambda: SpdcSpectrum({"2": 1.0}), "'2'"),
-], ids=["basis", "balanced", "spdc", "mapping", "pair", "string", "spectrum"])
+], ids=["basis", "balanced", "spdc", "mapping", "pair", "string"])
 def test_charges_reject_non_integers(build, named):
     with pytest.raises(TypeError, match=f"charge must be an integer, got {named}"):
         build()
@@ -228,12 +245,9 @@ def test_spdc_pair_anticorrelated():
         assert abs(amp - 1.0 / math.sqrt(3.0)) < 1e-12
 
 
-def test_spdc_spectrum_weighting():
-    spectrum = SpdcSpectrum({0: 3.0, 2: 4.0})
-    s = spdc_pair_state((0, 2), spectrum)
-    psi = s.tensor()
-    assert abs(psi[0, 0, 0, s.space.oam_basis("B").index(0)] - 0.6) < 1e-12
-    assert abs(psi[0, 1, 0, s.space.oam_basis("B").index(-2)] - 0.8) < 1e-12
+def test_spdc_pair_needs_a_charge():
+    with pytest.raises(EmptyStateError):
+        spdc_pair_state(())
 
 
 def test_qplate_tuning_zero_is_identity():
@@ -322,7 +336,7 @@ def test_herald_zero_probability():
 
 
 def test_project_oam_drop_axis(binary_state):
-    out, prob = project_oam(binary_state, "B", {0: 1.0}, keep_axis=False)
+    out, prob = project_oam(binary_state, "B", {0: 1.0})
     assert abs(prob - 0.25) < 1e-12
     assert not out.space.has_axis("oam_B")
     assert abs(out.tensor()[0, 0] - 1.0) < 1e-12  # collapses onto |R,R>
@@ -330,7 +344,7 @@ def test_project_oam_drop_axis(binary_state):
 
 def test_chi_vector_keeps_normalized_entries():
     # the projection is normalized once; the overlap ket carries those
-    # amplitudes unchanged, as the kept-axis output does
+    # amplitudes unchanged
     entries = _normalize_projection({0: 1, -2: 1j, 5: 0.3})
     chi = _chi_vector(OamBasis((0, -2, 5, 7)), entries)
     assert chi.tolist() == [a for _, a in entries] + [0j]

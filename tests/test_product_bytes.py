@@ -10,8 +10,9 @@ by five eighths of a step, as a benchmark seed shifts them; every sample of
 them is exact, so they pin the stacked exact solves (roots, pencils, Newton
 polish, core diagnostics) to the last digit.  The tomography and Bell
 recipes, a 128^2 skyrmion number and Stokes field off the equator, and a
-built ladder state pin the rest; none reads an input file, whose path would
-enter ``config_sha256``.  The digests were recorded with numpy 2.4 and
+built ladder state, whole and restricted to its middle charge, pin the
+rest; none reads an input file, whose path would enter
+``config_sha256``.  The digests were recorded with numpy 2.4 and
 scipy 1.17 on x86-64.  A speed-up of the frame pipeline (unit texture,
 density, segmentation, raster output) or of the exact numbers must
 reproduce them exactly, last digits included.
@@ -74,6 +75,7 @@ RUNS = {
         "stokes-field", "--grid-n", "128", "--theta-fixed", "1.1", "--alpha-fixed", "0.7",
     ],
     "build_state_ladder": ["build-state", "--ladder", "0,-3,-6"],
+    "build_state_reference": ["build-state", "--ladder", "0,-3,-6", "--extract", "reference"],
 }
 
 # tomography.json reads ProjectorSet.step, an eigenvalue of a 288 x 288 Gram
@@ -107,6 +109,7 @@ FILES = {
         for ext in ("", ".json")
     ],
     "build_state_ladder": ["state.json"],
+    "build_state_reference": ["state.json"],
 }
 
 DIGESTS = {
@@ -125,6 +128,7 @@ DIGESTS = {
     "skyrmion_number_128": "d90334b1513b5b562967da6b0dd2aa25718b947344b3a6717fc808b9849def46",
     "stokes_field_128": "2798fbea20f1a9f1ec9d17b101c28f2195fb0c545dc05b04c1395bb5b1c1223a",
     "build_state_ladder": "637bcb6fe4110cbc5a833af4331702696c7e644b45cbd20825a94597d4d4b866",
+    "build_state_reference": "8331e031dcd86ff10269c2b5a983cbcfe7f80bf710daaef7703ccae8c8c455f7",
 }
 
 
