@@ -554,18 +554,28 @@ def cmd_dynamics(cfg: RunConfig) -> None:
     state = _resolve_state(cfg)
     sweep = _sweep_angles(cfg)
     rendered = set()
+    written: list[str] = []
 
     def render(i: int, unit, density, psi) -> None:
-        write_pgm(_out(cfg, f"frame_{i:03d}_sigma.pgm"), density.sigma)
-        write_pgm(_out(cfg, f"frame_{i:03d}_psi.pgm"), psi)
+        for name, raster in (("sigma", density.sigma), ("psi", psi)):
+            path = _out(cfg, f"frame_{i:03d}_{name}.pgm")
+            written.extend((path, path + ".json"))  # listed first: a partial write goes too
+            write_pgm(path, raster)
         rendered.add(i)
 
-    trace = track_dynamics(state, sweep, cfg.grid, cfg.central_radius, on_frame=render)
-    # every frame gets a raster; the tracker drops a sample it cannot herald
-    # or resolve, and computing that frame again raises the reason before
-    # dynamics.csv and dynamics.json are written
-    for i in sorted(set(range(len(sweep))) - rendered):
-        _frame(cfg, state, sweep[i])
+    try:
+        trace = track_dynamics(state, sweep, cfg.grid, cfg.central_radius, on_frame=render)
+        # every frame gets a raster; the tracker drops a sample it cannot
+        # herald or resolve, and computing that frame again raises the reason
+        for i in sorted(set(range(len(sweep))) - rendered):
+            _frame(cfg, state, sweep[i])
+    except BaseException:
+        # a failed run leaves no product that would read as complete: no
+        # dynamics.csv or dynamics.json, and none of the rasters it wrote
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
+        raise
     header, rows = trace_rows(trace)
     write_csv(_out(cfg, "dynamics.csv"), header, rows)
     write_json(

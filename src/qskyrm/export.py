@@ -42,6 +42,12 @@ def jsonable(obj):
     if isinstance(obj, complex):
         return [jsonable(obj.real), jsonable(obj.imag)]
     if isinstance(obj, np.ndarray):
+        # bool, integer and finite float64/32/16 entries already come out of
+        # tolist() as the plain values the per-entry path would return
+        if obj.dtype.kind in "biu" or (
+            obj.dtype.kind == "f" and obj.dtype.itemsize <= 8 and np.isfinite(obj).all()
+        ):
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}

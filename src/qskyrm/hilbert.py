@@ -564,30 +564,47 @@ def _reorder_oam(state: State, arm: str, order: Sequence[int]) -> State:
     return State(space, "pure", _on_charges(psi, io, basis, charges).reshape(-1))
 
 
-def _from_kets(space: Space, kets: np.ndarray, pure: bool) -> State:
-    """State over ``space`` from a ket ensemble shaped as by :meth:`State.kets`:
-    the single ket itself when ``pure``, else ``rho = sum_k |k><k|``."""
-    flat = kets.reshape(len(kets), -1)
+def _ensemble_data(kets: np.ndarray, pure: bool) -> np.ndarray:
+    """State data of each ket ensemble of a stack shaped (m, rank, *dims):
+    the single ket itself, flattened, when ``pure``, else
+    ``rho = sum_k |k><k|``."""
+    flat = kets.reshape(kets.shape[:2] + (-1,))
     if pure:
-        return State(space, "pure", flat[0])
-    return State(space, "density", flat.T @ flat.conj())
+        return flat[:, 0]
+    return np.matmul(flat.transpose(0, 2, 1), flat.conj())
 
 
-def _condition(state: State, axis: str, ket: np.ndarray, what: str) -> tuple[State, float]:
-    """Condition ``state`` on finding ``axis`` in ``ket`` and drop that axis.
+def _condition(state: State, axis: str, kets: np.ndarray) -> tuple[Space, np.ndarray, np.ndarray]:
+    """Condition ``state`` on finding ``axis`` in each row of ``kets`` (m, d)
+    and drop that axis.
 
-    Each ket of the state's ensemble is contracted with ``ket``; the
-    probability is the total squared norm of what remains, and below
-    ``_PROB_FLOOR`` it is a :class:`ZeroProbabilityError` naming ``what``.
-    Returns the renormalized state, of the input's kind, and that probability.
+    One stacked ``matmul`` contracts the state's ket ensemble with every row
+    as m row-vector products, so no row's bits depend on the other rows (a
+    gemm over the rows rounds differently).  A row's probability is the
+    total squared norm of what it leaves.  Returns the remaining space, each
+    row's renormalized state data (of the input's kind, see
+    :func:`_ensemble_data`) and the probabilities; a row below
+    ``_PROB_FLOOR`` holds no state.
     """
     i = state.space.axis_position(axis)
-    cond = np.tensordot(ket.conj(), state.kets(), axes=(0, i + 1))
-    prob = float(np.sum(np.abs(cond) ** 2))
+    ensemble = state.kets()
+    cond = np.matmul(kets.conj()[:, None], np.moveaxis(ensemble, i + 1, 0).reshape(kets.shape[1], -1))
+    # cond's axes follow the remaining order
+    cond = cond.reshape((len(kets), len(ensemble)) + ensemble.shape[1 : i + 1] + ensemble.shape[i + 2 :])
+    probs = np.sum(np.abs(cond) ** 2, axis=tuple(range(1, cond.ndim)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond /= np.sqrt(probs).reshape((-1,) + (1,) * (cond.ndim - 1))
+    return state.space.drop_axis(axis), _ensemble_data(cond, state.is_pure), probs
+
+
+def _condition_on(state: State, axis: str, ket: np.ndarray, what: str) -> tuple[State, float]:
+    """The one-row case of :func:`_condition`: the renormalized state and the
+    probability, which below ``_PROB_FLOOR`` is a :class:`ZeroProbabilityError`
+    naming ``what``."""
+    space, (data,), (prob,) = _condition(state, axis, ket[None])
     if prob < _PROB_FLOOR:
         raise ZeroProbabilityError(f"{what} probability {prob:.3e} below {_PROB_FLOOR:.0e}")
-    space = state.space.drop_axis(axis)  # cond's axes follow the remaining order
-    return _from_kets(space, cond / math.sqrt(prob), state.is_pure), prob
+    return State(space, state.kind, data), float(prob)
 
 
 def _chi_vector(basis: OamBasis, entries: Sequence[tuple[int, complex]]) -> np.ndarray:
@@ -607,7 +624,7 @@ def herald_polarization(state: State, angles: ProjectionAngles) -> tuple[State, 
     input: photon B over pol_B x oam_B, of the input's kind) and the heralding
     probability.
     """
-    return _condition(state, "pol_A", angles.ket(), "heralding")
+    return _condition_on(state, "pol_A", angles.ket(), "heralding")
 
 
 def project_oam(state: State, arm: str, coeffs) -> tuple[State, float]:
@@ -624,7 +641,7 @@ def project_oam(state: State, arm: str, coeffs) -> tuple[State, float]:
     chi = _chi_vector(state.space.axis(axis).basis, _normalize_projection(coeffs))
     if np.linalg.norm(chi) == 0.0:
         raise ZeroProbabilityError("projection charges are all outside the basis")
-    return _condition(state, axis, chi, "projection")
+    return _condition_on(state, axis, chi, "projection")
 
 
 def restrict_oam_b(state: State, ells: Sequence[int]) -> State:
@@ -644,7 +661,8 @@ def restrict_oam_b(state: State, ells: Sequence[int]) -> State:
     nrm = np.linalg.norm(kets)
     if nrm**2 < _PROB_FLOOR:
         raise ZeroProbabilityError("subspace restriction annihilated the state")
-    return _from_kets(state.space, np.moveaxis(kets, 0, io + 1) / nrm, state.is_pure)
+    (data,) = _ensemble_data(np.moveaxis(kets, 0, io + 1)[None] / nrm, state.is_pure)
+    return State(state.space, state.kind, data)
 
 
 def _ladder(state: State) -> tuple[int, ...]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFieldError, InsufficientCoverageError, UnsupportedStateError
-from .hilbert import ProjectionAngles, State, herald_polarization
+from .hilbert import ProjectionAngles, Space, State, herald_polarization
 from .modes import ROW_STRIP, GridSpec, _intensity_envelope, mode_stack, row_strips
 
 __all__ = [
@@ -112,8 +112,8 @@ class UnitStokesField:
     s1, s2, s3 = (property(lambda self, k=k: self.s[k]) for k in range(3))
 
 
-def _photon_axes(state: State) -> tuple[int, int]:
-    axes = state.space.axes
+def _photon_axes(space: Space) -> tuple[int, int]:
+    axes = space.axes
     pol = [i for i, ax in enumerate(axes) if ax.kind == "pol"]
     oam = [i for i, ax in enumerate(axes) if ax.kind == "oam"]
     if len(axes) != 2 or len(pol) != 1 or len(oam) != 1:
@@ -129,7 +129,7 @@ def _photon_axes(state: State) -> tuple[int, int]:
 def _kets_and_modes(state: State, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The state's ket ensemble as (rank, 2 polarizations, n charges), and the
     envelope-free mode stack of its charges on ``grid``."""
-    ip, io = _photon_axes(state)
+    ip, io = _photon_axes(state.space)
     modes = mode_stack(state.space.axes[io].basis.ells, grid)
     kets = state.kets()
     if ip == 1:

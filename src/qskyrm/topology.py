@@ -34,10 +34,12 @@ the sphere negatively; Houghton, Manton & Sutcliffe, Nucl. Phys. B 510, 507
 (1998)).  :func:`exact_skyrmion_number` computes it for the ideal,
 unapertured texture, and reports how far out the cores sit and how small the
 smallest one is, so a reader can tell what a finite window or grid resolves.
-:func:`sphere_sweep` solves every distinct pure photon of a sweep at once,
-one stack per charge pattern (the charges each component keeps; a recipe has
-three: the two poles and the bulk).  The ternary's 30 x 30 Sylvester pencils,
-one generalized eigenvalue solve per photon, are the cost that remains.
+:func:`sphere_sweep` heralds every sample of a sweep in one contraction (one
+decomposition of the state for the whole sweep) and solves every distinct
+pure photon at once, from the stacked kets, one stack per charge pattern (the
+charges each component keeps; a recipe has three: the two poles and the
+bulk).  The ternary's 30 x 30 Sylvester pencils, one generalized eigenvalue
+solve per photon, are the cost that remains.
 
 Quasiparticle decomposition works on preimages of the polar cap rather than
 on lumps of |sigma|: each core pins the unit vector to the north pole
@@ -95,7 +97,7 @@ from .errors import (
     UnsupportedStateError,
     ZeroProbabilityError,
 )
-from .hilbert import ProjectionAngles, State, herald_polarization
+from .hilbert import _PROB_FLOOR, ProjectionAngles, Space, State, _condition, herald_polarization
 from .modes import (
     ROW_STRIP,
     GridSpec,
@@ -429,15 +431,14 @@ class _Component(NamedTuple):
         return np.abs(dt) + np.abs(dc)
 
 
-def _mode_polynomials(photons: Sequence[State]) -> Iterator[tuple[np.ndarray, _Component, _Component]]:
-    """The u (R, polarization index 0) and v (L) components of pure photons
-    over one space (module docstring), one ``(members, u, v)`` stack per
-    charge pattern: the charges each component keeps once amplitudes below
-    ``_COEFF_FLOOR`` of the photon's largest (the theta = pi herald leaves
-    ~1e-17) are dropped as noise."""
-    ip, io = _photon_axes(photons[0])
-    kets = np.array([ph.tensor() if ip == 0 else ph.tensor().T for ph in photons])
-    ells = np.array(photons[0].space.axes[io].basis.ells)
+def _mode_polynomials(kets: np.ndarray, ells: Sequence[int]) -> Iterator[tuple[np.ndarray, _Component, _Component]]:
+    """The u (R, polarization row 0) and v (L) components of a stack of pure
+    photons ``kets`` (members, 2 polarizations, charges ``ells``; module
+    docstring), one ``(members, u, v)`` stack per charge pattern: the charges
+    each component keeps once amplitudes below ``_COEFF_FLOOR`` of the
+    photon's largest (the theta = pi herald leaves ~1e-17) are dropped as
+    noise."""
+    ells = np.array(ells)
     norms = np.exp([_log_norm(abs(int(l))) for l in ells])
     keep = np.abs(kets) > _COEFF_FLOOR * np.abs(kets).max(axis=(1, 2), keepdims=True)
     patterns, which = np.unique(keep, axis=0, return_inverse=True)
@@ -446,6 +447,14 @@ def _mode_polynomials(photons: Sequence[State]) -> Iterator[tuple[np.ndarray, _C
         u, v = (_Component(ells[kept], kets[members, row][:, kept] * norms[kept])
                 for row, kept in enumerate(pattern))
         yield members, u, v
+
+
+def _photon_kets(space: Space, data: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Pure photons' data rows over ``space`` as the exact solver's
+    ``(members, 2 polarizations, charges)`` stack, and the charges."""
+    ip, io = _photon_axes(space)
+    kets = data.reshape((len(data),) + space.dims)
+    return (kets if ip == 0 else kets.swapaxes(1, 2)), space.axes[io].basis.ells
 
 
 def _nonzero_roots(c: _Component) -> np.ndarray:
@@ -510,19 +519,19 @@ def _harmonic_zeros(c: _Component) -> np.ndarray:
     return np.where(kept, t, np.nan)
 
 
-def _exact_numbers(photons: Sequence[State]) -> list:
+def _exact_numbers(kets: np.ndarray, ells: Sequence[int]) -> list:
     """What :func:`exact_skyrmion_number` returns, or the error it raises, for
-    each of ``photons`` (all over one space), solved as one stack per charge
-    pattern (:func:`_mode_polynomials`, :func:`_pattern_numbers`)."""
-    results: list = [UnsupportedStateError("mode polynomials need a pure photon state")] * len(photons)
-    pure = [i for i, ph in enumerate(photons) if ph.is_pure]
-    for members, u, v in _mode_polynomials([photons[i] for i in pure]) if pure else ():
+    each pure photon of the stack ``kets`` (members, 2 polarizations,
+    charges ``ells``), solved as one stack per charge pattern
+    (:func:`_mode_polynomials`, :func:`_pattern_numbers`)."""
+    results: list = [None] * len(kets)
+    for members, u, v in _mode_polynomials(kets, ells):
         try:
             numbers = _pattern_numbers(u, v)
         except UnsupportedStateError as exc:
             numbers = [exc] * len(members)
         for i, number in zip(members, numbers):
-            results[pure[i]] = number
+            results[i] = number
     return results
 
 
@@ -605,7 +614,9 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     against it on the axis, and when both components vanish at one point off
     the axis (a singular point of the texture, where n changes).
     """
-    (result,) = _exact_numbers([photon])
+    if not photon.is_pure:
+        raise UnsupportedStateError("mode polynomials need a pure photon state")
+    (result,) = _exact_numbers(*_photon_kets(photon.space, photon.data[None]))
     if isinstance(result, UnsupportedStateError):
         raise result
     return result
@@ -620,15 +631,18 @@ def sphere_sweep(
     """Skyrmion number of photon B over a grid of heralding angles.
 
     Defaults: 9 polar angles spanning [0, pi], 8 equally spaced azimuths.
-    Pure heralded photons get the exact numbers of their ideal textures
-    (:func:`exact_skyrmion_number`), solved as one stack per charge pattern;
-    a density matrix, or a pure photon outside that function's domain, gets
-    the Riemann sum over a frame on ``grid``.  Samples whose heralding
-    probability vanishes (or whose texture carries no intensity) are flagged
-    invalid rather than raising.  Each distinct heralded photon is counted
-    once: samples whose conditional state has the same bytes (every azimuth
-    at theta = 0, say) share its number.  Unlike a dynamics sweep, the
-    frames render one after another on the calling thread.
+    Every sample is heralded in one contraction, each row the bytes
+    :func:`~qskyrm.hilbert.herald_polarization` gives it alone.  Pure
+    heralded photons get the exact numbers of their ideal textures
+    (:func:`exact_skyrmion_number`), solved from the stacked kets as one
+    stack per charge pattern; a density matrix, or a pure photon outside
+    that function's domain, gets the Riemann sum over a frame on ``grid``.
+    Samples where heralding would raise (or whose texture carries no
+    intensity) are flagged invalid rather than raising.  Each distinct
+    heralded photon is counted once: samples whose conditional state has
+    the same bytes (every azimuth at theta = 0, say) share its number.
+    Unlike a dynamics sweep, the frames render one after another on the
+    calling thread.
     """
     thetas = tuple(float(t) for t in (DEFAULT_THETA_SAMPLES if theta_samples is None else theta_samples))
     alphas = tuple(float(a) for a in (DEFAULT_ALPHA_SAMPLES if alpha_samples is None else alpha_samples))
@@ -641,30 +655,30 @@ def sphere_sweep(
     method = np.full(shape, None, dtype=object)
     outer_radius = np.full(shape, np.nan)
     core_scale = np.full(shape, np.nan)
-    # each sample's photon bytes, and the distinct photons by them; exact
-    # bytes only: nearly equal photons (the theta = pi kets differ by ~1e-17)
-    # can give grid numbers that differ in print
-    keys = np.full(shape, None, dtype=object)
-    photons: dict[bytes, State] = {}
-    for i, theta in enumerate(thetas):
-        for j, alpha in enumerate(alphas):
-            try:
-                photon, _ = herald_polarization(state, ProjectionAngles(theta, alpha))
-            except ZeroProbabilityError:
-                continue
-            keys[i, j] = photon.data.tobytes()
-            photons.setdefault(keys[i, j], photon)
+    # every sample's photon from one contraction, rows in raster order
+    heralds = np.array([ProjectionAngles(theta, alpha).ket() for theta in thetas for alpha in alphas])
+    space, data, probs = _condition(state, "pol_A", heralds)
+    # each heralded sample's photon bytes, and the first row of each distinct
+    # photon; exact bytes only: nearly equal photons (the theta = pi kets
+    # differ by ~1e-17) can give grid numbers that differ in print
+    keys = [row.tobytes() if prob >= _PROB_FLOOR else None for row, prob in zip(data, probs.tolist())]
+    first: dict[bytes, int] = {}
+    for k, key in enumerate(keys):
+        if key is not None:
+            first.setdefault(key, k)
+    rows = list(first.values())
+    exact = _exact_numbers(*_photon_kets(space, data[rows])) if state.is_pure and rows else [None] * len(rows)
     samples = {}
-    for (key, photon), result in zip(photons.items(), _exact_numbers(list(photons.values()))):
-        if not isinstance(result, UnsupportedStateError):
+    for (key, k), result in zip(first.items(), exact):
+        if isinstance(result, tuple):
             samples[key] = (float(result[0]), "exact", *result[1:])
             continue
         try:
-            n = skyrmion_number(photon_frame(photon, grid)[1])
+            n = skyrmion_number(photon_frame(State(space, state.kind, data[k]), grid)[1])
         except EmptyFieldError:
             n = math.nan
         samples[key] = (n, "grid", math.nan, math.nan)
-    for (i, j), key in np.ndenumerate(keys):
+    for (i, j), key in zip(np.ndindex(shape), keys):
         if key is not None:
             n_values[i, j], method[i, j], outer_radius[i, j], core_scale[i, j] = samples[key]
     valid = ~np.isnan(n_values)

@@ -16,12 +16,14 @@ from qskyrm import (
     QPlateParams,
     Space,
     State,
+    ZeroProbabilityError,
     build_spin_skyrmion_state,
     conditional_stokes,
     herald_polarization,
     normalize_stokes,
     save_state,
     skyrmion_density,
+    state_from_dict,
     stokes_of_photon_state,
 )
 from qskyrm import cli, topology
@@ -396,6 +398,38 @@ def test_sphere_of_density_state_uses_grid(tmp_path):
     assert doc["outer_radius"] == doc["core_scale"] == [[None], [None]]
 
 
+def test_density_sphere_heralds_in_one_contraction(tmp_path, monkeypatch):
+    # the fitted rho above, over the default 9 x 8 heralds: one
+    # eigendecomposition of it for the whole sweep, and the numbers of a
+    # herald and a frame per sample
+    assert main(["tomography", "--out", str(tmp_path), "--seed", "7", "--noiseless"]) == 0
+    rho = state_from_dict(read_json(tmp_path / "tomography.json")["rho"])
+    grid = GridSpec(32, 32)
+    decompositions = []
+    kets = State.kets
+
+    def counting(self):
+        if self is rho:
+            decompositions.append(1)
+        return kets(self)
+
+    monkeypatch.setattr(State, "kets", counting)
+    smap = topology.sphere_sweep(rho, grid=grid)
+    monkeypatch.undo()
+    assert len(decompositions) == 1
+    expected = np.full(smap.n_values.shape, np.nan)
+    for i, theta in enumerate(smap.theta_samples):
+        for j, alpha in enumerate(smap.alpha_samples):
+            try:
+                photon, _ = herald_polarization(rho, ProjectionAngles(theta, alpha))
+            except ZeroProbabilityError:
+                continue
+            expected[i, j] = topology.skyrmion_number(topology.photon_frame(photon, grid)[1])
+    np.testing.assert_array_equal(smap.n_values, expected)
+    np.testing.assert_array_equal(smap.valid, ~np.isnan(expected))
+    assert (smap.method == "grid").all()
+
+
 def test_quasiparticles_output(tmp_path):
     out = tmp_path / "o"
     code = main(
@@ -495,6 +529,9 @@ def test_dynamics_unheralded_sample_is_numerical_failure(tmp_path, capsys):
     assert "heralding probability" in capsys.readouterr().err
     assert not (out / "dynamics.json").exists()
     assert not (out / "dynamics.csv").exists()
+    # the four samples before the south pole rendered; their rasters and
+    # sidecars are deleted with the failure
+    assert out.is_dir() and not list(out.glob("frame_*"))
 
 
 def test_dynamics_needs_enough_samples(tmp_path, capsys):

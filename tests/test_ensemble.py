@@ -13,15 +13,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qskyrm import (
     GridSpec,
     OamBasis,
     ProjectionAngles,
+    QPlateParams,
     Space,
     State,
+    ZeroProbabilityError,
+    build_spin_skyrmion_state,
     herald_polarization,
     mode_stack,
     project_oam,
@@ -29,7 +32,7 @@ from qskyrm import (
     stokes_of_photon_state,
 )
 from qskyrm.bell import BellSubspace, _coincidence_probability
-from qskyrm.hilbert import Axis, polarization_ket
+from qskyrm.hilbert import _PROB_FLOOR, Axis, _condition, polarization_ket
 
 TOL = 1e-12
 GRID = GridSpec(nx=24, ny=24, half_extent=3.0, waist=1.0)
@@ -169,6 +172,40 @@ def test_herald_matches_reference(ensemble, theta, alpha):
     assert out.kind == state.kind
     assert abs(prob - ref_prob) < TOL
     np.testing.assert_allclose(as_density(out), ref, atol=TOL)
+
+
+# the CLI's default state with the plate off (--tuning 0): photon A is R, so
+# the south-pole herald reads a probability of 3.7e-33
+PLATE_OFF = build_spin_skyrmion_state([0], QPlateParams(1.0, 0.0))
+POLE_HERALDS = [(0.0, 0.0), (0.0, 2.0 * math.pi), (math.pi, 0.0), (math.pi, 2.0 * math.pi), (1.1, 0.4)]
+HERALDS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, math.pi]), st.floats(min_value=0.0, max_value=math.pi)),
+        st.one_of(st.sampled_from([0.0, 2.0 * math.pi]), st.floats(min_value=0.0, max_value=2.0 * math.pi)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(ENSEMBLES.map(tripartite), st.sampled_from([PLATE_OFF, PLATE_OFF.to_density()])), HERALDS)
+@example(PLATE_OFF, POLE_HERALDS)
+@example(PLATE_OFF.to_density(), POLE_HERALDS)
+def test_stacked_herald_rows_are_the_single_heralds(state, heralds):
+    # one contraction for every herald gives, row by row, the bytes of that
+    # herald alone, and a row is below the floor exactly where it raises
+    space, data, probs = _condition(state, "pol_A", np.array([ProjectionAngles(*h).ket() for h in heralds]))
+    for h, row, prob in zip(heralds, data, probs):
+        try:
+            photon, p = herald_polarization(state, ProjectionAngles(*h))
+        except ZeroProbabilityError:
+            assert prob < _PROB_FLOOR
+            continue
+        assert prob >= _PROB_FLOOR
+        assert p == prob
+        assert photon.space == space
+        assert row.tobytes() == photon.data.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -33,6 +33,31 @@ def test_jsonable_handles_numpy_and_nan():
         jsonable(object())
 
 
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([[-0.0, 1.5], [2.0**-1074, 1e308]]),
+        np.array([-0.0, np.nan, 1.0]),
+        np.array([np.inf, -np.inf]),
+        np.array([-0.0, 3.25], dtype=np.float32),
+        np.array([[1, -2], [3, 4]]),
+        np.array([2**63 - 1], dtype=np.uint64),
+        np.array([True, False]),
+        np.array([1.0 - 0.0j, np.nan + 1.0j]),
+        np.array([1.5, None, "method", -0.0], dtype=object),
+        np.zeros((0, 3)),
+    ],
+    ids=["finite", "nan", "inf", "float32", "int", "uint64", "bool", "complex", "object", "empty"],
+)
+def test_jsonable_array_fast_path_matches_per_entry(arr):
+    # whole-array tolist() where every entry is finite or not a float must
+    # give the per-entry conversion, -0.0 and the entry types included
+    per_entry = [jsonable(v) for v in arr.tolist()]
+    got = jsonable(arr)
+    assert json.dumps(got, allow_nan=False) == json.dumps(per_entry, allow_nan=False)
+    assert got == per_entry
+
+
 def test_config_hash_is_order_insensitive():
     a = config_hash({"x": 1, "y": [2.5, 3]})
     b = config_hash({"y": [2.5, 3], "x": 1})

@@ -30,7 +30,7 @@ from qskyrm import (
     sphere_sweep,
     track_dynamics,
 )
-from qskyrm import topology
+from qskyrm import cli, topology
 from qskyrm.cli import main
 from qskyrm.modes import _meshgrid
 from qskyrm.stokesfield import orientation_psi
@@ -203,14 +203,24 @@ def test_failed_frame_ends_the_deliveries(pool_size):
     assert shown == [0, 1, 2]
 
 
-def test_failed_frame_exits_4(tmp_path, capsys):
+def test_failed_frame_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "dyn"
     argv = ["dynamics", "--ladder=-2,-4,0", "--grid-n", "33", "--out", str(out),
             "--theta", ",".join(str(t) for t in FAILING_THETAS)]
+    written = []
+    write_pgm = cli.write_pgm
+
+    def recording(path, array):
+        written.append(os.path.basename(path))
+        write_pgm(path, array)
+
+    monkeypatch.setattr(cli, "write_pgm", recording)
     assert main(argv) == 4
     assert "numerical failure" in capsys.readouterr().err
-    frames = sorted(name for name in os.listdir(out) if name.endswith("_sigma.pgm"))
+    frames = sorted(name for name in written if name.endswith("_sigma.pgm"))
     assert frames == [f"frame_{i:03d}_sigma.pgm" for i in range(3)]
+    # the failed run deletes the rasters it wrote
+    assert os.listdir(out) == []
 
 
 def test_first_failure_in_sample_order_is_raised(monkeypatch, pool_size):
