@@ -386,19 +386,34 @@ class ProjectionAngles:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
-            raise ValueError("angles must be finite")
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not -1e-12 <= self.alpha <= 2.0 * math.pi + 1e-12:
-            raise ValueError(f"alpha must lie in [0, 2*pi], got {self.alpha}")
+        _check_angles(self.theta, self.alpha)
 
     def ket(self) -> np.ndarray:
         """Heralding polarization ket cos(t/2)|R> + sin(t/2) e^{i alpha}|L>."""
-        half = 0.5 * self.theta
-        return np.array(
-            [math.cos(half), math.sin(half) * np.exp(1j * self.alpha)], dtype=complex
-        )
+        return _herald_kets((self.theta,), (self.alpha,))[0]
+
+
+def _check_angles(theta: float, alpha: float) -> None:
+    if not (math.isfinite(theta) and math.isfinite(alpha)):
+        raise ValueError("angles must be finite")
+    if not -1e-12 <= theta <= math.pi + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not -1e-12 <= alpha <= 2.0 * math.pi + 1e-12:
+        raise ValueError(f"alpha must lie in [0, 2*pi], got {alpha}")
+
+
+def _herald_kets(thetas: Sequence[float], alphas: Sequence[float]) -> np.ndarray:
+    """The (len(thetas) * len(alphas), 2) heralding kets of every
+    ``ProjectionAngles(theta, alpha)``, theta-major, each angle checked once
+    and the first failing pair's ``ValueError`` raised.  Scalar cos, sin and
+    exp per angle: numpy's vector kernels need not round like them."""
+    for alpha in alphas:
+        _check_angles(thetas[0], alpha)
+    for theta in thetas:
+        _check_angles(theta, alphas[0])
+    halves = [(math.cos(0.5 * theta), math.sin(0.5 * theta)) for theta in thetas]
+    phases = [np.exp(1j * alpha) for alpha in alphas]
+    return np.array([[cos, sin * phase] for cos, sin in halves for phase in phases], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,11 @@ smallest one is, so a reader can tell what a finite window or grid resolves.
 decomposition of the state for the whole sweep) and solves every distinct
 pure photon at once, from the stacked kets, one stack per charge pattern (the
 charges each component keeps; a recipe has three: the two poles and the
-bulk).  The ternary's 30 x 30 Sylvester pencils, one generalized eigenvalue
-solve per photon, are the cost that remains.
+bulk).  The ternary's bulk u mixes charge signs: a degree-1 analytic part
+against a degree-5 antianalytic one, whose zeros are roots of one
+degree-25 polynomial per photon (:func:`_harmonic_zeros`).  That solve,
+about 0.34 ms a photon on one core and most of it the companion
+eigenvalues, is the cost that remains.
 
 Quasiparticle decomposition works on preimages of the polar cap rather than
 on lumps of |sigma|: each core pins the unit vector to the north pole
@@ -97,7 +100,7 @@ from .errors import (
     UnsupportedStateError,
     ZeroProbabilityError,
 )
-from .hilbert import _PROB_FLOOR, ProjectionAngles, Space, State, _condition, herald_polarization
+from .hilbert import _PROB_FLOOR, ProjectionAngles, Space, State, _condition, _herald_kets, herald_polarization
 from .modes import (
     ROW_STRIP,
     GridSpec,
@@ -457,36 +460,88 @@ def _photon_kets(space: Space, data: np.ndarray) -> tuple[np.ndarray, tuple[int,
     return (kets if ip == 0 else kets.swapaxes(1, 2)), space.axes[io].basis.ells
 
 
+def _companion_roots(desc: np.ndarray) -> np.ndarray:
+    """Roots of each polynomial of the stack ``desc`` (members, degree + 1;
+    coefficients highest power first, the first nonzero), with multiplicity:
+    the companion matrices ``np.roots`` builds, solved in one stacked
+    ``eigvals``.  A member whose companion is not finite (its coefficients
+    overflowed) gets NaN roots in place of the solve."""
+    companion = np.repeat(np.eye(desc.shape[1] - 1, k=-1, dtype=complex)[None], len(desc), axis=0)
+    with np.errstate(all="ignore"):
+        companion[:, :1] = (-desc[:, 1:] / desc[:, :1])[:, None]
+    bad = ~np.isfinite(companion).all(axis=(1, 2))
+    companion[bad] = 0.0
+    roots = np.linalg.eigvals(companion)
+    roots[bad] = np.nan
+    return roots
+
+
 def _nonzero_roots(c: _Component) -> np.ndarray:
     """Nonzero zeros (in t) of each member of a single-signed component,
-    with multiplicity, shaped (members, degree span): the companion matrices
-    ``np.roots`` builds, solved in one stacked ``eigvals``."""
+    with multiplicity, shaped (members, degree span)."""
     powers = np.abs(c.ells)
     top, span = int(powers.max()), int(powers.max() - powers.min())
     desc = np.zeros((len(c.coeffs), span + 1), dtype=complex)
     desc[:, top - powers] = c.coeffs
-    companion = np.repeat(np.eye(span, k=-1, dtype=complex)[None], len(desc), axis=0)
-    companion[:, :1] = (-desc[:, 1:] / desc[:, :1])[:, None]
-    tau = np.linalg.eigvals(companion)
+    tau = _companion_roots(desc)
     return np.conj(tau) if c.sign == -1 else tau
 
 
-def _harmonic_zeros(c: _Component) -> np.ndarray:
-    """Nonzero zeros of each member of a mixed-sign component P(t) + Q(conj t),
-    shaped (members, candidates), NaN for a candidate that is none.
+def _harmonic_parts(c: _Component) -> tuple[np.ndarray, np.ndarray]:
+    """A mixed-sign component as P(t) + Q(conj t): the coefficients of P
+    (members, deg P + 1; the charge-0 term) and of Q (members, deg Q + 1; a
+    zero constant), lowest power first."""
+    count, pos = len(c.coeffs), c.ells >= 0
+    p, q = (np.zeros((count, int(abs(top)) + 1), dtype=complex) for top in (c.ells.max(), c.ells.min()))
+    p[:, c.ells[pos]], q[:, -c.ells[~pos]] = c.coeffs[:, pos], c.coeffs[:, ~pos]
+    return p, q
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Member-wise product of two stacks of polynomials, lowest power first."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for k in range(b.shape[1]):
+        out[:, k : k + a.shape[1]] += a * b[:, k, None]
+    return out
+
+
+def _substituted_candidates(c: _Component) -> np.ndarray:
+    """Candidate zeros of a mixed-sign component p0 + p1 t + Q(conj t) whose
+    analytic part has degree 1, shaped (members, m^2) for Q of degree m.
+
+    A zero also solves the conjugate equation, which gives
+    conj(t) = R(t) = -(conj(p0) + Q*(t)) / conj(p1) (Q* with conjugated
+    coefficients); put back, F(t) = p0 + p1 t + Q(R(t)), of degree m^2, has
+    every zero among its roots (companion matrices, one stacked ``eigvals``).
+    """
+    p, q = _harmonic_parts(c)
+    r = -np.conj(q)
+    r[:, 0] = -np.conj(p[:, 0])
+    r /= np.conj(p[:, 1, None])
+    # Q(R) by Horner's rule; Q has no constant term
+    f = q[:, -1:]
+    for k in range(q.shape[1] - 2, -1, -1):
+        f = _product(f, r)
+        f[:, 0] += q[:, k]
+    f[:, :2] += p
+    return _companion_roots(f[:, ::-1])
+
+
+def _pencil_candidates(c: _Component) -> np.ndarray:
+    """Candidate zeros of a mixed-sign component P(t) + Q(conj t) of any
+    degrees, shaped (members, max(n, m) (n + m)) for P of degree n and Q of
+    degree m.
 
     With s standing for conj(t), a zero is a common root in s of
     F = Q(s) + P(t) and of its conjugate G = P*(s) + Q*(t) (coefficients
     conjugated).  Their Sylvester matrix in s is a matrix polynomial in t
-    whose determinant vanishes at every zero; its eigenvalues (companion
-    linearization, one stacked generalized ``eigvals``) are polished by
-    Newton steps on the component itself.  Candidates that are no zero of it
-    (their common s is not conj(t)), on the axis or repeated are dropped.
+    whose determinant vanishes at every zero; its eigenvalues come from the
+    companion linearization, one stacked generalized ``eigvals``.  When the
+    parts' degrees differ, the rows of the lower one vanish from the leading
+    block, so min(n, m) candidates or more are infinite (returned as NaN).
     """
-    count, pos = len(c.coeffs), c.ells >= 0
-    p, q = (np.zeros((count, int(abs(top)) + 1), dtype=complex) for top in (c.ells.max(), c.ells.min()))
-    p[:, c.ells[pos]], q[:, -c.ells[~pos]] = c.coeffs[:, pos], c.coeffs[:, ~pos]
-    n, m = p.shape[1] - 1, q.shape[1] - 1
+    p, q = _harmonic_parts(c)
+    count, n, m = len(p), p.shape[1] - 1, q.shape[1] - 1
     size, deg = n + m, max(n, m)
     # sylvester[:, k] multiplies t^k: n rows of F (degree m in s), m rows of G
     sylvester = np.zeros((count, deg + 1, size, size), dtype=complex)
@@ -500,11 +555,74 @@ def _harmonic_zeros(c: _Component) -> np.ndarray:
     # the last block row of a holds the blocks of t^0 .. t^(deg - 1)
     a[:, -size:] = -sylvester[:, :deg].transpose(0, 2, 1, 3).reshape(count, size, deg * size)
     b[:, -size:, -size:] = sylvester[:, deg]
-    # a singular b gives infinite eigenvalues, and a stray candidate can
-    # overflow in the Newton steps; the zero test below drops both
     with np.errstate(all="ignore"):
         t = eigvals(a, b, check_finite=False)
-        t[~np.isfinite(t)] = np.nan
+    t[~np.isfinite(t)] = np.nan
+    return t
+
+
+def _harmonic_zeros(c: _Component) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero zeros of each member of a mixed-sign component P(t) + Q(conj t),
+    shaped (members, candidates), NaN for a candidate that is none, and
+    whether each member's zeros fall short of its windings
+    (:func:`_short_of_winding`): some zero was lost.
+
+    The candidates come from the degree-m^2 substitution polynomial when P
+    has degree 1 (:func:`_substituted_candidates`), from the same in
+    s = conj(t) with the parts' roles swapped when Q has degree 1, and from
+    the Sylvester pencil (:func:`_pencil_candidates`) when both parts have
+    degree 2 or more; :func:`_polished_zeros` keeps the zeros.  The
+    substitution polynomial's roots cluster, and lose their accuracy, where
+    the degree-1 part is small against the other (1e-5 of it, say); its
+    members that fall short are solved again through the pencil.
+    """
+    if c.ells.max() == 1:
+        t = _polished_zeros(c, _substituted_candidates(c))
+    elif c.ells.min() == -1:
+        t = _polished_zeros(c, np.conj(_substituted_candidates(_Component(-c.ells, c.coeffs))))
+    else:
+        t = _polished_zeros(c, _pencil_candidates(c))
+        return t, _short_of_winding(c, t)
+    short = _short_of_winding(c, t)
+    if short.any():
+        again = _Component(c.ells, c.coeffs[short])
+        redo = _polished_zeros(again, _pencil_candidates(again))
+        t = np.pad(t, ((0, 0), (0, redo.shape[1] - t.shape[1])), constant_values=np.nan)
+        t[short] = redo
+        short[short] = _short_of_winding(again, redo)
+    return t, short
+
+
+def _short_of_winding(c: _Component, t: np.ndarray) -> np.ndarray:
+    """Whether each member's zeros ``t`` (NaN padded) fail to account for its
+    windings.  Each simple zero has index +1 (|d/dt| > |d/dconj(t)| there)
+    or -1, and the nonzero zeros' indices sum to the winding on a large
+    circle (+n when the analytic part's t^n leads, -m when the antianalytic
+    part's conj(t)^m does) less the index at the origin (0 when the charge-0
+    term is there; else +a or -b for the lower of the parts' lowest powers
+    t^a, conj(t)^b).  A lost zero breaks the sum, unless a pair of opposite
+    index is lost; a degenerate zero breaks it too.  Never short when the
+    parts tie in either place, which leaves the sum to the coefficients."""
+    up, down = c.ells[c.ells > 0], -c.ells[c.ells < 0]
+    if up.max() == down.max() or (0 not in c.ells and up.min() == down.min()):
+        return np.zeros(len(t), dtype=bool)
+    far = int(up.max()) if up.max() > down.max() else -int(down.max())
+    near = 0 if 0 in c.ells else int(up.min()) if up.min() < down.min() else -int(down.min())
+    dt, dc = c.derivatives(t)
+    return np.nansum(np.sign(np.abs(dt) ** 2 - np.abs(dc) ** 2), axis=1) != far - near
+
+
+def _polished_zeros(c: _Component, t: np.ndarray) -> np.ndarray:
+    """The zeros among the candidates ``t`` (members, candidates) of a
+    mixed-sign component, after four Newton steps on the component itself,
+    NaN in place of the rest: candidates that are no zero of it (a solver's
+    spurious roots) or repeated are dropped, and so, when the component has
+    no charge-0 term, are those on the axis, its zero there.  Of candidates
+    that polish to one zero, the one with the smallest residual is kept.
+    """
+    # a stray candidate can overflow in the Newton steps; the zero test
+    # below drops it
+    with np.errstate(all="ignore"):
         for _ in range(4):
             f = c.at(t)
             dt, dc = c.derivatives(t)
@@ -512,7 +630,11 @@ def _harmonic_zeros(c: _Component) -> np.ndarray:
             # 256 KiB numpy reuses the temporary conj(f) and swaps the factors,
             # and its fused complex product is not symmetric in the last bit
             t = t + (np.multiply(dc, np.conj(f)) - np.conj(dt) * f) / (np.abs(dt) ** 2 - np.abs(dc) ** 2)
-        kept = np.isfinite(t) & (np.abs(c.at(t)) <= _ROOT_TOL * c.magnitude(t)) & (np.abs(t) > _ROOT_TOL)
+        residual = np.abs(c.at(t)) / c.magnitude(t)
+        # best polished first, so a repeat is dropped in favour of it
+        order = np.argsort(np.where(np.isfinite(residual), residual, np.inf), axis=1, kind="stable")
+        t, residual = np.take_along_axis(t, order, axis=1), np.take_along_axis(residual, order, axis=1)
+        kept = (residual <= _ROOT_TOL) & ((np.abs(t) > _ROOT_TOL) | (0 in c.ells))
         for j in range(1, t.shape[1]):
             near = np.abs(t[:, :j] - t[:, j, None]) <= 1e-6 * np.abs(t[:, j, None])
             kept[:, j] &= ~(near & kept[:, :j]).any(axis=1)
@@ -574,7 +696,10 @@ def _pattern_numbers(u: _Component, v: _Component) -> list:
         return results
     dom, other = (_Component(c.ells, c.coeffs[ok]) for c in (dom, other))
     t_dom, o_at = t_dom[ok], o_at[ok]
-    t_oth = _harmonic_zeros(other) if other.sign is None else _nonzero_roots(other)
+    if other.sign is None:
+        t_oth, short = _harmonic_zeros(other)
+    else:
+        t_oth, short = _nonzero_roots(other), np.zeros(len(ok), dtype=bool)
     radii = [np.abs(t_dom), np.abs(t_oth)]
     with np.errstate(divide="ignore", invalid="ignore"):
         scales = [np.abs(o_at) / dom.slope(t_dom), np.abs(dom.at(t_oth)) / other.slope(t_oth)]
@@ -588,8 +713,13 @@ def _pattern_numbers(u: _Component, v: _Component) -> list:
     # fmax and fmin skip the NaN of harmonic candidates that are no zero
     outer = np.fmax.reduce(np.concatenate(radii, axis=1), axis=1, initial=0.0) / math.sqrt(2.0)
     scale = np.fmin.reduce(np.concatenate(scales, axis=1), axis=1, initial=math.inf) / math.sqrt(2.0)
-    for i, o, s in zip(ok, outer.tolist(), scale.tolist()):
-        results[i] = (n, o, s)
+    for i, o, s, lost in zip(ok, outer.tolist(), scale.tolist(), short.tolist()):
+        if lost:
+            results[i] = UnsupportedStateError(
+                "the zeros found of the mixed-sign component do not make up its windings"
+            )
+        else:
+            results[i] = (n, o, s)
     return results
 
 
@@ -611,8 +741,10 @@ def exact_skyrmion_number(photon: State) -> tuple[int, float, float]:
     Raises :class:`UnsupportedStateError` for a density matrix, when neither
     component reaches a strictly larger max |l|, when the dominant component
     mixes charge signs, when the other component's lowest-order charges wind
-    against it on the axis, and when both components vanish at one point off
-    the axis (a singular point of the texture, where n changes).
+    against it on the axis, when both components vanish at one point off
+    the axis (a singular point of the texture, where n changes), and when
+    the zeros found of a mixed-sign other component do not make up its
+    windings (:func:`_short_of_winding`), so some core would be missed.
     """
     if not photon.is_pure:
         raise UnsupportedStateError("mode polynomials need a pure photon state")
@@ -656,8 +788,7 @@ def sphere_sweep(
     outer_radius = np.full(shape, np.nan)
     core_scale = np.full(shape, np.nan)
     # every sample's photon from one contraction, rows in raster order
-    heralds = np.array([ProjectionAngles(theta, alpha).ket() for theta in thetas for alpha in alphas])
-    space, data, probs = _condition(state, "pol_A", heralds)
+    space, data, probs = _condition(state, "pol_A", _herald_kets(thetas, alphas))
     # each heralded sample's photon bytes, and the first row of each distinct
     # photon; exact bytes only: nearly equal photons (the theta = pi kets
     # differ by ~1e-17) can give grid numbers that differ in print

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qskyrm import (
@@ -26,7 +26,22 @@ from qskyrm import (
     skyrmion_number,
     sphere_sweep,
 )
-from qskyrm.topology import _exact_numbers, _mode_polynomials, _photon_kets, photon_frame
+from qskyrm import topology
+from qskyrm.cli import _plateaus
+from qskyrm.topology import (
+    _ROOT_TOL,
+    _companion_roots,
+    _Component,
+    _exact_numbers,
+    _harmonic_zeros,
+    _mode_polynomials,
+    _pencil_candidates,
+    _photon_kets,
+    _polished_zeros,
+    _short_of_winding,
+    _substituted_candidates,
+    photon_frame,
+)
 
 # the states of the four sphere recipes
 RECIPE_STATES = {
@@ -284,3 +299,156 @@ def test_exact_number_is_the_resolved_grid_number(name):
 
     check()
     assert tally["compared"] >= 0.1 * sum(tally.values()), dict(tally)
+
+
+def pencil_zeros(c):
+    """What :func:`_harmonic_zeros` returns, from the Sylvester pencil alone."""
+    t = _polished_zeros(c, _pencil_candidates(c))
+    return t, _short_of_winding(c, t)
+
+
+def same_zeros(found, expected, rtol):
+    """Whether two NaN-padded rows hold the same zeros, each within ``rtol``."""
+    found, expected = found[np.isfinite(found)], expected[np.isfinite(expected)]
+    if len(found) != len(expected):
+        return False
+    gap = np.abs(found[:, None] - expected[None])
+    return bool((gap.min(axis=1) <= rtol * np.abs(found)).all() and (gap.min(axis=0) <= rtol * np.abs(expected)).all())
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_substitution_sweeps_the_ternary_like_the_pencil(offset, monkeypatch):
+    # the ternary recipe at each of the benchmark's 8 azimuth offsets (k/8 of
+    # one of the 8 steps): 56 distinct bulk photons each, all exact
+    step = 2.0 * math.pi / 8
+    alphas = [step * offset / 8 + step * j for j in range(8)]
+    new = sphere_sweep(RECIPE_STATES["ternary"], alpha_samples=alphas)
+    monkeypatch.setattr(topology, "_harmonic_zeros", pencil_zeros)
+    old = sphere_sweep(RECIPE_STATES["ternary"], alpha_samples=alphas)
+    assert (new.method == "exact").all()
+    assert new.n_values.tobytes() == old.n_values.tobytes()
+    assert _plateaus(new) == _plateaus(old) == [-5, -10, -6]
+    assert (new.valid == old.valid).all()
+    assert new.outer_radius.tobytes() == old.outer_radius.tobytes()
+    np.testing.assert_allclose(new.core_scale, old.core_scale, rtol=1e-12, atol=0.0)
+
+
+UNIT = st.builds(
+    lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+    st.floats(0.1, 1.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@st.composite
+def degree_one_components(draw):
+    """A mixed-sign component of 1 to 3 members, with its larger degree m:
+    p0 + p1 t against an antianalytic part of degree m in 2..6 (its lower
+    powers and p0 each present or not), the degree-1 part scaled by a ratio
+    of 1e-6 to 1e6; mirrored (every charge negated) or not."""
+    m = draw(st.integers(2, 6))
+    ells = [l for l in (0, *range(-1, -m, -1)) if draw(st.booleans())] + [1, -m]
+    members = draw(st.integers(1, 3))
+    coeffs = np.array([
+        [draw(UNIT) * (10.0 ** draw(st.floats(-6.0, 6.0)) if l >= 0 else 1.0) for l in ells]
+        for _ in range(members)
+    ])
+    sign = draw(st.sampled_from([1, -1]))
+    return _Component(sign * np.array(ells), coeffs), m
+
+
+def substitution_alone(c):
+    """The substitution's zeros with no fallback to the pencil, either way round."""
+    if c.ells.max() == 1:
+        return _polished_zeros(c, _substituted_candidates(c))
+    return _polished_zeros(c, np.conj(_substituted_candidates(_Component(-c.ells, c.coeffs))))
+
+
+def test_harmonic_zeros_are_the_pencils():
+    """Away from folds, the substitution keeps the pencil's zeros, each
+    within 1e-9, wherever it accounts for the windings, and that is almost
+    everywhere; what :func:`_harmonic_zeros` returns (the pencil's where the
+    substitution falls short) has every zero the pencil has, at most 3m - 2
+    of them (Khavinson & Swiatek, Proc. AMS 131, 409 (2003)), each passing
+    the zero test."""
+    tally = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(degree_one_components())
+    def check(case):
+        c, m = case
+        pencil = pencil_zeros(c)[0]
+        # near a fold, where two zeros meet, |d/dt| and |d/dconj(t)| nearly
+        # agree and neither solver places the zero to 1e-9 (3 rows in 8000)
+        dt, dc = c.derivatives(pencil)
+        assume(not (np.abs(np.abs(dt) - np.abs(dc)) < 1e-6 * (np.abs(dt) + np.abs(dc))).any())
+        alone = substitution_alone(c)
+        for row, ref, short in zip(alone, pencil, _short_of_winding(c, alone)):
+            tally["short" if short else "kept"] += 1
+            assert short or same_zeros(row, ref, 1e-9)
+        zeros, short = _harmonic_zeros(c)
+        assert not short.any()
+        for row, ref in zip(zeros, pencil):
+            assert same_zeros(row, ref, 1e-9)
+            assert np.isfinite(row).sum() <= 3 * m - 2
+        kept = np.isfinite(zeros)
+        assert (np.abs(c.at(zeros))[kept] <= _ROOT_TOL * c.magnitude(zeros)[kept]).all()
+
+    check()
+    assert tally["short"] <= 0.02 * sum(tally.values()), dict(tally)
+
+
+def test_a_short_substitution_is_solved_again_by_the_pencil():
+    # u = 1e-5 t against conj(t)^5 and conj(t)^6: F's roots cluster near the
+    # origin and near -q5/q6, and polish to none of the 7 zeros
+    c = _Component(np.array([1, -5, -6]), np.array([[8e-6 - 5e-7j, 0.0586 + 0.1204j, 0.3086 - 0.4016j]]))
+    alone = _polished_zeros(c, _substituted_candidates(c))
+    assert _short_of_winding(c, alone).all()
+    zeros, short = _harmonic_zeros(c)
+    assert not short.any()
+    assert np.isfinite(zeros).sum() == 7
+    assert same_zeros(zeros[0], pencil_zeros(c)[0][0], 1e-12)
+
+
+def test_both_degrees_above_one_take_the_pencil():
+    # u = 0.4 + (0.3 - 0.2i) t + 2 t^2 + 0.2i conj(t) + conj(t)^3, with 7
+    # zeros out to 2.18: the pencil's are those Newton steps reach from a
+    # grid of starting points
+    c = _Component(np.array([2, 1, 0, -1, -3]), np.array([[2.0, 0.3 - 0.2j, 0.4, 0.2j, 1.0]]))
+    zeros, short = _harmonic_zeros(c)
+    assert not short.any()
+    x = np.linspace(-2.5, 2.5, 15)
+    t = (x[:, None] + 1j * x[None]).reshape(1, -1)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            f = c.at(t)
+            dt, dc = c.derivatives(t)
+            t = t + (dc * np.conj(f) - np.conj(dt) * f) / (np.abs(dt) ** 2 - np.abs(dc) ** 2)
+        hit = np.isfinite(t) & (np.abs(c.at(t)) <= 1e-12 * c.magnitude(t))
+    reached = []
+    for z in t[hit]:
+        if all(abs(z - r) > 1e-8 for r in reached):
+            reached.append(z)
+    assert len(reached) == 7
+    assert same_zeros(zeros[0], np.array(reached), 1e-9)
+
+
+def test_a_failed_zero_solve_is_loud(monkeypatch):
+    # candidates that are all NaN: the bulk photons fall short of their
+    # windings, so each raises and a sweep counts them on the grid
+    bulk = [photon("ternary", theta, 0.4) for theta in (0.8, 1.6, 2.4)]
+    nothing = lambda c: np.full((len(c.coeffs), 30), np.nan + 0j)
+    monkeypatch.setattr(topology, "_substituted_candidates", nothing)
+    monkeypatch.setattr(topology, "_pencil_candidates", nothing)
+    for result in _exact_numbers(*solver_input(bulk)):
+        assert isinstance(result, UnsupportedStateError)
+        assert "windings" in str(result)
+    smap = sphere_sweep(RECIPE_STATES["ternary"], THETAS, ALPHAS, SMALL_GRID)
+    assert smap.method.tolist() == [["exact", "exact"], ["grid", "grid"], ["exact", "exact"]]
+    assert smap.valid.all()
+
+
+def test_an_overflowing_companion_gives_nan_roots():
+    roots = _companion_roots(np.array([[1e-300, 1e300, 1.0], [1.0, -3.0, 2.0]], dtype=complex))
+    assert np.isnan(roots[0]).all()
+    assert sorted(roots[1].real.round(12)) == [1.0, 2.0]

@@ -7,8 +7,9 @@ sizes, 256^2 (8 row strips) and 512^2 (16), so every strip of a full-size
 frame is covered.  The sphere cases run the four sphere recipes on the
 default 9 x 8 heralding grid, and the ternary once more on azimuths shifted
 by five eighths of a step, as a benchmark seed shifts them; every sample of
-them is exact, so they pin the stacked exact solves (roots, pencils, Newton
-polish, core diagnostics) to the last digit.  The tomography and Bell
+them is exact, so they pin the stacked exact solves (companion roots, the
+ternary's degree-25 substitution polynomials, Newton polish, core
+diagnostics) to the last digit.  The tomography and Bell
 recipes, a 128^2 skyrmion number and Stokes field off the equator, and a
 built ladder state, whole and restricted to its middle charge, pin the
 rest; none reads an input file, whose path would enter
@@ -120,8 +121,8 @@ DIGESTS = {
     "binary_sphere": "01bd2975615adb18a19206587de70cca12cb33fbba0cc3f3a55178a9dc4d4ae2",
     "deep_ladder_sphere": "147a50436433e5258ea087826e6425d150297c9ad672e5c96b3515fccfe8240e",
     "ghz_sphere": "904ae43fdd1e5578c6b1b174388ae964a7c486c8431fb3c2c253781a8de21b5c",
-    "ternary_sphere": "65aed37a1402c644a869525a8a417fc39875cf70b702e7f2f12445e95b5c8a51",
-    "ternary_sphere_shifted": "6c42f6a1102df1f331ac8eb49c1d67fdc35d311d980903dc15a60681f49ddf31",
+    "ternary_sphere": "7d9a06537a48c29d72585c21c45d0cfe95df1640a38d9627e0f2dd8c3c7509d5",
+    "ternary_sphere_shifted": "d7264dfdfd5026e17ebe629f7cd573c0e106d6c651d37c444a4c0491d86abdb9",
     "tomography_counts": "cfdac35bbb2033f41df2b8ab729d1d9fd3e3c78062ad5384e95bc2eb790b5968",
     "ideal_bell": "23ad48ec708a49f4fd1bddf2f853be55a12d1c71c8035fe9b8a2e129bf3558b4",
     "werner_bell": "b02731af4e35397c86a932d4f53b5a18e3ec337550feb4202d8fa01764c64bd2",

@@ -1,6 +1,7 @@
 """Topological charge, segmentation, and quasiparticle kinematics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,39 @@ def test_sphere_sweep_layout(small_grid, binary_state):
 def test_sphere_sweep_rejects_empty_samples(binary_state):
     with pytest.raises(ValueError):
         sphere_sweep(binary_state, theta_samples=(), alpha_samples=(0.0,))
+
+
+@pytest.mark.parametrize(
+    "thetas, alphas",
+    [
+        ((0.5, 4.0), (0.0, 7.0)),  # alpha fails first, at theta 0.5
+        ((0.5, 4.0), (0.0, 1.0)),
+        ((0.5, -0.1), (math.nan, 1.0)),  # the first pair fails: not finite
+        ((0.5, math.inf), (0.0, -0.1)),
+    ],
+)
+def test_sphere_sweep_rejects_an_angle_as_its_first_herald(binary_state, thetas, alphas):
+    # the message of the first pair, in raster order, that ProjectionAngles
+    # rejects
+    with pytest.raises(ValueError) as single:
+        for theta in thetas:
+            for alpha in alphas:
+                ProjectionAngles(theta, alpha)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+        sphere_sweep(binary_state, thetas, alphas)
+
+
+def test_herald_rows_are_the_herald_kets():
+    # the ket cos(theta/2)|R> + sin(theta/2) e^{i alpha}|L> with scalar
+    # math.cos and math.sin, to the bit, in raster order
+    thetas = [*topology.DEFAULT_THETA_SAMPLES, 0.3, 2.9]
+    alphas = [*topology.DEFAULT_ALPHA_SAMPLES, 2.0 * math.pi, 0.1]
+    rows = topology._herald_kets(thetas, alphas)
+    expected = np.array(
+        [[math.cos(0.5 * t), math.sin(0.5 * t) * np.exp(1j * a)] for t in thetas for a in alphas], dtype=complex
+    )
+    assert rows.tobytes() == expected.tobytes()
+    assert ProjectionAngles(thetas[-1], alphas[-1]).ket().tobytes() == expected[-1].tobytes()
 
 
 def reference_sweep(state, grid):
